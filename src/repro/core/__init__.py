@@ -38,7 +38,6 @@ from .runspec import (
     RunSpec,
     execute_runspec,
     execute_runspec_from_registry,
-    execute_runspec_tolerant,
     failure_outcome,
 )
 from .crosslayer import (
@@ -120,7 +119,6 @@ __all__ = [
     "RunSpec",
     "execute_runspec",
     "execute_runspec_from_registry",
-    "execute_runspec_tolerant",
     "failure_outcome",
     "derived_descriptor",
     "error_pattern_outcomes",

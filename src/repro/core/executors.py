@@ -16,8 +16,11 @@ batches, to a swappable :class:`Executor`:
   :class:`~repro.core.runspec.RunOutcome`.  Outcomes are re-ordered
   by run index, so aggregation is independent of worker scheduling.
 
-Both backends execute the *same* ``execute_runspec`` routine, which is
-what the serial/parallel equivalence tests pin down.
+Both backends execute the *same* batch routine,
+:func:`~repro.core.runspec.execute_batch_tolerant`, over the same run
+body: the serial executor passes it closures over its callables, pool
+workers the registry-backed ``execute_chunk_tolerant``.  That is what
+the serial/parallel equivalence tests pin down.
 
 Fault tolerance
 ---------------
@@ -38,7 +41,8 @@ executors degrade instead of aborting:
   runs that can actually have been executing when the pool broke (the
   first ``workers`` casualties in FIFO dispatch order) are charged a
   retry attempt; co-batched runs that were still queued re-run on the
-  rebuilt pool free of charge;
+  rebuilt pool free of charge.  The :class:`CrashLedger` holds that
+  rule; the distributed coordinator drives the same ledger;
 * a run that hangs so hard the worker-side deadline cannot fire (a
   process body that never yields) is caught by the pool-level hard
   timeout; the poisoned pool is killed and rebuilt, and the *hung*
@@ -59,15 +63,14 @@ import time
 import typing as _t
 
 from .runspec import (
-    ForkUnsupported,
     RunOutcome,
     RunSpec,
+    error_outcome,
+    execute_batch_tolerant,
     execute_chunk_tolerant,
     execute_fork_group,
     execute_runspec,
-    execute_runspec_tolerant,
     failure_outcome,
-    fork_groups,
 )
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -79,6 +82,24 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 #: other runs of the same batch on a busy pool.
 HARD_TIMEOUT_GRACE = 5.0
 HARD_TIMEOUT_FACTOR = 3.0
+
+
+def chunk_backstop_s(
+    specs: _t.Sequence[RunSpec], hard_timeout_s: _t.Optional[float]
+) -> _t.Optional[float]:
+    """Hard-timeout budget for *specs* run back to back on one worker
+    (a pool chunk, a cluster lease), or ``None`` to wait forever."""
+    if hard_timeout_s is not None:
+        return hard_timeout_s * len(specs)
+    deadlines = [s.deadline_s for s in specs if s.deadline_s is not None]
+    if len(deadlines) < len(specs):
+        # Any deadline-less run may legitimately take arbitrarily
+        # long; a finite backstop would misfire.
+        return None
+    return (
+        max(deadlines) * HARD_TIMEOUT_FACTOR * len(specs)
+        + HARD_TIMEOUT_GRACE
+    )
 
 
 def default_worker_count() -> int:
@@ -115,6 +136,73 @@ class RetryPolicy:
     def backoff_for(self, rebuild: int) -> float:
         """Seconds to sleep before pool rebuild number *rebuild* (1-based)."""
         return self.backoff_s * (2 ** max(rebuild - 1, 0))
+
+
+class CrashLedger:
+    """Attempt bookkeeping for runs whose executing worker died or hung.
+
+    The one retry rule both out-of-process backends share; it does no
+    I/O and takes no locks, so the process pool and the distributed
+    coordinator drive it under their own concurrency.  Each caller
+    decides *which* run was in flight when a worker went away (FIFO
+    pigeonholing for the pool, the first unreported lease index for
+    the coordinator); the ledger decides what that costs:
+
+    * only the in-flight run is charged (:meth:`crashed`); innocents
+      requeue free of charge, so their records stay byte-identical to
+      a serial run's;
+    * a run whose charges reach :attr:`RetryPolicy.max_attempts`
+      becomes a terminal ``crash:worker`` record;
+    * a hang is terminal at once (:meth:`hung`) as ``timeout:pool`` —
+      a rerun would hang for the full backstop again.
+    """
+
+    def __init__(self, specs: _t.Iterable[RunSpec], retry: RetryPolicy):
+        self.retry = retry
+        self._specs = {spec.index: spec for spec in specs}
+        #: spec index -> crash-charged prior executions.
+        self._charged: _t.Dict[int, int] = {}
+
+    def attempt(self, index: int) -> int:
+        """The 1-based attempt number of the next dispatch of *index*."""
+        return self._charged.get(index, 0) + 1
+
+    def respec(self, index: int) -> RunSpec:
+        """The spec to dispatch for *index*, carrying its attempt count
+        (the same object when no crash has been charged to it)."""
+        spec = self._specs[index]
+        charged = self._charged.get(index, 0)
+        if spec.attempt != charged:
+            spec = dataclasses.replace(spec, attempt=charged)
+        return spec
+
+    def crashed(self, index: int, cause: str) -> _t.Optional[RunOutcome]:
+        """Charge *index* for a worker death: its terminal
+        ``crash:worker`` record once the budget is spent, else ``None``
+        (requeue it)."""
+        charged = self._charged[index] = self._charged.get(index, 0) + 1
+        if charged < self.retry.max_attempts:
+            return None
+        return failure_outcome(
+            self._specs[index],
+            failure="crash",
+            error=(
+                f"{cause}; retry budget of {self.retry.max_retries} "
+                f"exhausted"
+            ),
+            attempts=charged,
+            label="crash:worker",
+        )
+
+    def hung(self, index: int, error: str) -> RunOutcome:
+        """The terminal ``timeout:pool`` record of a hung *index*."""
+        return failure_outcome(
+            self._specs[index],
+            failure="timeout",
+            error=error,
+            attempts=self.attempt(index),
+            label="timeout:pool",
+        )
 
 
 class Executor:
@@ -169,40 +257,19 @@ class SerialExecutor(Executor):
         self.capture_state = capture_state
         self.restore_state = restore_state
 
-    def _run_one(self, spec: RunSpec) -> RunOutcome:
-        try:
-            return execute_runspec(
+    def run_batch(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
+        return execute_batch_tolerant(
+            specs,
+            lambda spec: execute_runspec(
                 spec, self.factory, self.observe, self.classifier,
                 reset=self.reset,
-            )
-        except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; nothing to re-raise here
-            return failure_outcome(
-                spec,
-                failure="error",
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=spec.attempt + 1,
-                label=f"error:{type(exc).__name__}",
-            )
-
-    def run_batch(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
-        groups, singles = fork_groups(specs)
-        if not groups:
-            return [self._run_one(spec) for spec in specs]
-        done: _t.Dict[int, RunOutcome] = {}
-        for _key, members in groups:
-            try:
-                results = execute_fork_group(
-                    members, self.factory, self.observe, self.classifier,
-                    capture_state=self.capture_state,
-                    restore_state=self.restore_state,
-                )
-            except ForkUnsupported:
-                results = [self._run_one(spec) for spec in members]
-            for spec, outcome in zip(members, results):
-                done[spec.index] = outcome
-        for spec in singles:
-            done[spec.index] = self._run_one(spec)
-        return [done[spec.index] for spec in specs]
+            ),
+            lambda members: execute_fork_group(
+                members, self.factory, self.observe, self.classifier,
+                capture_state=self.capture_state,
+                restore_state=self.restore_state,
+            ),
+        )
 
 
 class ParallelExecutor(Executor):
@@ -313,17 +380,7 @@ class ParallelExecutor(Executor):
         self, chunk: _t.Sequence[RunSpec]
     ) -> _t.Optional[float]:
         """Pool-level backstop for one chunk future (None = wait)."""
-        if self.hard_timeout_s is not None:
-            return self.hard_timeout_s * len(chunk)
-        deadlines = [s.deadline_s for s in chunk if s.deadline_s is not None]
-        if len(deadlines) < len(chunk):
-            # Any deadline-less run may legitimately take arbitrarily
-            # long; a finite chunk backstop would misfire.
-            return None
-        return (
-            max(deadlines) * HARD_TIMEOUT_FACTOR * len(chunk)
-            + HARD_TIMEOUT_GRACE
-        )
+        return chunk_backstop_s(chunk, self.hard_timeout_s)
 
     def _run_chunked(
         self,
@@ -407,21 +464,17 @@ class ParallelExecutor(Executor):
         from concurrent.futures.process import BrokenProcessPool
 
         hard_timeout = self._hard_timeout(specs)
-        by_index = {spec.index: spec for spec in specs}
-        #: spec index -> attempt number currently in flight (1-based).
-        pending: _t.Dict[int, int] = {spec.index: 1 for spec in specs}
+        ledger = CrashLedger(specs, self.retry)
+        pending = sorted(spec.index for spec in specs)
         rebuilds = 0
         while pending:
             pool = self._ensure_pool()
             futures: _t.Dict[int, _t.Any] = {}
             poisoned = False
-            for index in sorted(pending):
-                spec = dataclasses.replace(
-                    by_index[index], attempt=pending[index] - 1
-                )
+            for index in pending:
                 try:
                     futures[index] = pool.submit(
-                        execute_runspec_tolerant, spec
+                        execute_chunk_tolerant, [ledger.respec(index)]
                     )
                 except (BrokenProcessPool, RuntimeError):
                     # Pool already broken (or shut down mid-crash)
@@ -442,7 +495,6 @@ class ParallelExecutor(Executor):
             #: buffered items RUNNING before a worker picks them up.)
             hung_slots = 0
             for index, future in futures.items():
-                attempt = pending[index]
                 if hung_slots and future.cancel():
                     # Queued behind the hung worker and never started:
                     # re-run on the rebuilt pool, free of charge,
@@ -451,7 +503,7 @@ class ParallelExecutor(Executor):
                     continue
                 wait = 0 if hung_slots >= self.workers else hard_timeout
                 try:
-                    outcome = future.result(timeout=wait)
+                    (outcome,) = future.result(timeout=wait)
                 except FutureTimeout:
                     if future.cancel() or hung_slots >= self.workers:
                         # The backstop fired while this run was still
@@ -462,63 +514,37 @@ class ParallelExecutor(Executor):
                         poisoned = True
                         continue
                     # Hard hang: the worker-side deadline never fired
-                    # (non-yielding process body).  Terminal — a rerun
-                    # would hang for the full backstop again.
-                    done[index] = failure_outcome(
-                        by_index[index],
-                        failure="timeout",
-                        error=(
-                            f"no result within the {hard_timeout}s "
-                            f"pool-level hard timeout"
-                        ),
-                        attempts=attempt,
-                        label="timeout:pool",
+                    # (non-yielding process body).
+                    done[index] = ledger.hung(
+                        index,
+                        f"no result within the {hard_timeout}s "
+                        f"pool-level hard timeout",
                     )
-                    del pending[index]
                     hung_slots += 1
                     poisoned = True
                 except BrokenProcessPool:
                     crashed.append(index)
                     poisoned = True
                 except Exception as exc:  # noqa: BLE001 - pickling edge  # vp-lint: disable=VP007 - pool-side plumbing; deadlines are worker-side
-                    done[index] = failure_outcome(
-                        by_index[index],
-                        failure="error",
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=attempt,
-                        label=f"error:{type(exc).__name__}",
-                    )
-                    del pending[index]
+                    done[index] = error_outcome(ledger.respec(index), exc)
                 else:
+                    attempt = ledger.attempt(index)
                     if outcome.attempts != attempt:
                         outcome = dataclasses.replace(
                             outcome, attempts=attempt
                         )
                     done[index] = outcome
-                    del pending[index]
-            for position, index in enumerate(crashed):
-                if position >= self.workers:
-                    # Provably queued when the pool broke (FIFO
-                    # dispatch, all workers accounted for above):
-                    # re-run free of charge instead of letting a
-                    # poison spec burn innocents' retry budgets.
-                    continue
-                attempt = pending[index]
-                if attempt >= self.retry.max_attempts:
-                    done[index] = failure_outcome(
-                        by_index[index],
-                        failure="crash",
-                        error=(
-                            f"worker process died (BrokenProcessPool); "
-                            f"retry budget of {self.retry.max_retries} "
-                            f"exhausted"
-                        ),
-                        attempts=attempt,
-                        label="crash:worker",
-                    )
-                    del pending[index]
-                else:
-                    pending[index] = attempt + 1
+            # Provably queued when the pool broke (FIFO dispatch, all
+            # workers accounted for above): casualties past the first
+            # ``workers`` re-run free of charge instead of letting a
+            # poison spec burn innocents' retry budgets.
+            for index in crashed[: self.workers]:
+                record = ledger.crashed(
+                    index, "worker process died (BrokenProcessPool)"
+                )
+                if record is not None:
+                    done[index] = record
+            pending = [index for index in pending if index not in done]
             if poisoned:
                 # The pool is poisoned (dead or occupied workers):
                 # rebuild before the next round, after a deterministic

@@ -12,10 +12,14 @@ execution backends"):
    :class:`~repro.core.campaign.CampaignResult`, coverage, and
    strategy feedback.
 
-:func:`execute_runspec` is the single simulation routine both backends
-share: build a fresh kernel and platform, arm the stressor, simulate,
-observe, classify against the golden reference.  Identical code on
-both sides is what makes serial and parallel campaigns bit-equal.
+Every run, on every backend, goes through one run body
+(:func:`_run_suffix`): arm the stressor, simulate, observe, classify
+against the golden reference.  :func:`execute_runspec` (fresh or warm
+platform) and :func:`execute_fork_group` (kernel restored from a
+mid-run snapshot) differ only in how they acquire the platform, and
+:func:`execute_batch_tolerant` is the one batch routine that groups,
+falls back, and degrades raises to records.  Identical code on all
+sides is what makes serial, pooled and distributed campaigns bit-equal.
 """
 
 from __future__ import annotations
@@ -480,59 +484,76 @@ def _acquire_platform(
     return sim, factory(sim), False
 
 
-def execute_runspec(
-    spec: RunSpec,
-    factory: "_t.Callable[[Simulator], Module]",
-    observe: "_t.Callable[[Module], RunObservation]",
-    classifier: Classifier,
-    golden: _t.Optional[RunObservation] = None,
-    trace_signals: _t.Optional[_t.Callable] = None,
-    reset: _t.Optional[_t.Callable] = None,
-    kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
-) -> RunOutcome:
-    """Execute one spec and classify the result.
-
-    *kernel_factory* (default: plain :class:`Simulator`) builds the
-    kernel for the fresh path — diagnostic harnesses pass an
-    instrumented one (e.g. ``Simulator(order_seed=...)`` from the
-    order-sensitivity checker); supplying it disables warm reuse for
-    this call.
-
-    The golden reference is taken from the spec when present,
-    otherwise from the *golden* argument; planners always embed it so
-    executors need no shared state.
-
-    *reset* is the platform bundle's warm-reset hook; passing it (for
-    a spec that permits ``reuse_platform``) lets this routine keep the
-    elaborated platform between calls, resetting instead of
-    rebuilding.  Without it every call builds a fresh kernel and
-    platform — semantically identical, just slower.
-
-    When ``spec.trace`` is set a :class:`~repro.observe.runtrace.RunTrace`
-    is armed alongside the stressor — before simulation starts, so the
-    injection window is fully covered — and its digest rides back on
-    the outcome.  The recorder is disarmed on every exit path (the
-    detection hook bus is process-global; a leaked sink would bleed
-    events into the worker's next run).
-    """
+def _reference(
+    spec: RunSpec, golden: _t.Optional[RunObservation]
+) -> RunObservation:
+    """The golden observation *spec* classifies against: embedded in
+    the spec when present, else the caller's *golden* argument."""
     reference = spec.golden if spec.golden is not None else golden
     if reference is None:
         raise ValueError(
             f"run {spec.index}: no golden reference (neither embedded "
-            f"in the spec nor passed to execute_runspec)"
+            f"in the spec nor passed as golden)"
         )
-    wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-    sim, root, warm = _acquire_platform(spec, factory, reset, kernel_factory)
+    return reference
+
+
+def error_outcome(spec: RunSpec, exc: BaseException) -> RunOutcome:
+    """The terminal ``error:<Type>`` record of a run whose body raised."""
+    return failure_outcome(
+        spec,
+        failure="error",
+        error=f"{type(exc).__name__}: {exc}",
+        attempts=spec.attempt + 1,
+        label=f"error:{type(exc).__name__}",
+    )
+
+
+def _run_suffix(
+    spec: RunSpec,
+    sim: Simulator,
+    root: "Module",
+    reference: RunObservation,
+    observe: "_t.Callable[[Module], RunObservation]",
+    classifier: Classifier,
+    trace_signals: _t.Optional[_t.Callable],
+    wall_start: float,
+    seq_base: _t.Optional[int] = None,
+    prefix_detections: _t.Optional[_t.Sequence] = None,
+) -> RunOutcome:
+    """The one Fig. 3 step every execution mode shares: arm the
+    stressor (and the trace recorder), simulate to ``spec.duration``,
+    observe, classify.
+
+    Fresh, warm and forked runs differ only in how ``(sim, root)`` was
+    acquired and in the two fork arguments: *seq_base* re-arms the
+    injectors on a kernel restored mid-run (``Stressor.arm_forked``),
+    and *prefix_detections* preloads what the shared prefix detected
+    into the run's trace.
+
+    The stressor is armed, and the recorder built, inside the ``try``,
+    so both are torn down on every exit path, arm failures included:
+    the detection hook bus is process-global (a leaked sink would
+    bleed events into the next run), and a reused platform must not
+    accumulate stressor children.  A deadline hit degrades to a
+    ``timeout:deadline`` record with the partial digest recorded up to
+    the hang; anything else that raises propagates to the caller.
+    """
     stressor = Stressor(
         "stressor", parent=root, platform_root=root,
         rng=random.Random(spec.run_seed),
     )
-    stressor.arm(spec.scenario)
     run_trace: _t.Optional[RunTrace] = None
-    if spec.trace is not None:
-        run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
-        run_trace.arm(sim, _resolve_trace_signals(spec, root, trace_signals))
     try:
+        if seq_base is None:
+            stressor.arm(spec.scenario)
+        else:
+            stressor.arm_forked(spec.scenario, seq_base)
+        if spec.trace is not None:
+            run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
+            if prefix_detections is not None:
+                run_trace.preload_detections(prefix_detections)
+            run_trace.arm(sim, _resolve_trace_signals(spec, root, trace_signals))
         try:
             sim.run(until=spec.duration, deadline_s=spec.deadline_s)
         except DeadlineExceeded as exc:
@@ -583,36 +604,75 @@ def execute_runspec(
             attempts=spec.attempt + 1,
             digest=digest,
         )
+    finally:
+        if run_trace is not None:
+            run_trace.disarm()
+        # Detach reaps the stressor subtree — kills its injection
+        # processes and unregisters anything it created from the
+        # kernel — so a warm or forked kernel's memory stays flat.
+        # Detached processes stay dead through a fork restore (the
+        # capture predates them).
+        stressor.detach()
+
+
+def execute_runspec(
+    spec: RunSpec,
+    factory: "_t.Callable[[Simulator], Module]",
+    observe: "_t.Callable[[Module], RunObservation]",
+    classifier: Classifier,
+    golden: _t.Optional[RunObservation] = None,
+    trace_signals: _t.Optional[_t.Callable] = None,
+    reset: _t.Optional[_t.Callable] = None,
+    kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
+) -> RunOutcome:
+    """Execute one spec and classify the result.
+
+    *kernel_factory* (default: plain :class:`Simulator`) builds the
+    kernel for the fresh path — diagnostic harnesses pass an
+    instrumented one (e.g. ``Simulator(order_seed=...)`` from the
+    order-sensitivity checker); supplying it disables warm reuse for
+    this call.
+
+    The golden reference is taken from the spec when present,
+    otherwise from the *golden* argument; planners always embed it so
+    executors need no shared state.
+
+    *reset* is the platform bundle's warm-reset hook; passing it (for
+    a spec that permits ``reuse_platform``) lets this routine keep the
+    elaborated platform between calls, resetting instead of
+    rebuilding.  Without it every call builds a fresh kernel and
+    platform — semantically identical, just slower.
+
+    When ``spec.trace`` is set a :class:`~repro.observe.runtrace.RunTrace`
+    is armed alongside the stressor — before simulation starts, so the
+    injection window is fully covered — and its digest rides back on
+    the outcome (see :func:`_run_suffix`).
+    """
+    reference = _reference(spec, golden)
+    wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
+    sim, root, warm = _acquire_platform(spec, factory, reset, kernel_factory)
+    try:
+        return _run_suffix(
+            spec, sim, root, reference, observe, classifier, trace_signals,
+            wall_start,
+        )
     except BaseException:
         # Unwinding with the platform in an unknown mid-run state
-        # (raising process body, observation/classification bug): drop
+        # (arm failure, raising process body, observation bug): drop
         # the warm entry so the next run re-elaborates from scratch
         # rather than trusting the reset protocol to repair it.
         # Deadline timeouts do NOT take this path — they return a
-        # record above, and the reset protocol provably restores a
-        # merely-interrupted platform (equivalence-test pinned).
+        # record, and the reset protocol provably restores a merely
+        # interrupted platform (equivalence-test pinned).
         if warm:
             _WARM_PLATFORMS.pop(spec.platform, None)
         raise
-    finally:
-        # Raising runs reach here with the recorder still armed; the
-        # caller (serial executor / tolerant worker wrapper) degrades
-        # the exception to a terminal record with a planned digest.
-        if run_trace is not None:
-            run_trace.disarm()
-        if warm:
-            # Per-run scaffolding must not accumulate on the reused
-            # platform: detach reaps the stressor subtree — kills its
-            # injection processes and unregisters anything it created
-            # from the kernel — so warm-kernel memory stays flat.
-            stressor.detach()
 
 
-def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
-    """Worker-side entry point: resolve the platform key, then run.
+def _registry_hooks(spec: RunSpec):
+    """``(bundle, classifier)`` of *spec*'s platform registry key.
 
-    Module-level (hence picklable by reference) so process pools can
-    ship it; the lazy import keeps ``repro.core`` importable without
+    The lazy import keeps ``repro.core`` importable without
     ``repro.platforms`` and triggers built-in registration inside
     freshly spawned workers.
     """
@@ -623,8 +683,19 @@ def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
         )
     from ..platforms import registry
 
-    bundle = registry.get_platform(spec.platform)
-    classifier = registry.get_classifier(spec.platform)
+    return (
+        registry.get_platform(spec.platform),
+        registry.get_classifier(spec.platform),
+    )
+
+
+def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
+    """Worker-side entry point: resolve the platform key, then run.
+
+    Module-level (hence picklable by reference) so process pools can
+    ship it.
+    """
+    bundle, classifier = _registry_hooks(spec)
     return execute_runspec(
         spec, bundle.factory, bundle.observe, classifier,
         reset=bundle.reset,
@@ -783,99 +854,27 @@ def execute_fork_group(
     def platform_restore():
         restore_state(root, module_state)
 
+    prefix_detections = (
+        prefix_sink.detections if prefix_sink is not None else None
+    )
     outcomes: _t.List[RunOutcome] = []
     for position, spec in enumerate(specs):
         wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-        run_trace: _t.Optional[RunTrace] = None
-        stressor = None
         try:
-            reference = spec.golden if spec.golden is not None else golden
-            if reference is None:
-                raise ValueError(
-                    f"run {spec.index}: no golden reference (neither "
-                    f"embedded in the spec nor passed to "
-                    f"execute_fork_group)"
-                )
+            reference = _reference(spec, golden)
             if position > 0:
                 sim.restore(kernel_state, platform_restore=platform_restore)
             # Boundary compensation: resuming run() at t1-1 executes one
             # empty delta cycle a continuous run would not; undo it so
             # forked kernel counters equal fresh ones byte-for-byte.
             sim.delta_cycles_total -= 1
-            stressor = Stressor(
-                "stressor", parent=root, platform_root=root,
-                rng=random.Random(spec.run_seed),
-            )
-            stressor.arm_forked(spec.scenario, seq_base)
-            if spec.trace is not None:
-                run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
-                if prefix_sink is not None:
-                    run_trace.preload_detections(prefix_sink.detections)
-                run_trace.arm(
-                    sim, _resolve_trace_signals(spec, root, trace_signals)
-                )
-            try:
-                sim.run(until=spec.duration, deadline_s=spec.deadline_s)
-            except DeadlineExceeded as exc:
-                kernel_stats = sim.stats()
-                kernel_stats["wall_s"] = time.perf_counter() - wall_start  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-                digest = None
-                if run_trace is not None:
-                    digest = run_trace.finalize(
-                        stressor=stressor,
-                        outcome=Outcome.TIMEOUT.name,
-                        partial=True,
-                    )
-                outcomes.append(failure_outcome(
-                    spec,
-                    failure="timeout",
-                    error=str(exc),
-                    attempts=spec.attempt + 1,
-                    kernel_stats=kernel_stats,
-                    label="timeout:deadline",
-                    digest=digest,
-                ))
-                continue
-            observation = observe(root)
-            outcome, matched = classifier.classify(observation, reference)
-            digest = None
-            if run_trace is not None:
-                digest = run_trace.finalize(
-                    stressor=stressor,
-                    observation=observation,
-                    golden=reference,
-                    outcome=outcome.name,
-                )
-            kernel_stats = sim.stats()
-            kernel_stats["wall_s"] = time.perf_counter() - wall_start  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-            outcomes.append(RunOutcome(
-                index=spec.index,
-                outcome=outcome,
-                matched_rules=tuple(matched),
-                observation=observation,
-                injections_applied=len(stressor.applied),
-                kernel_stats=kernel_stats,
-                stressor_errors=tuple(stressor.errors),
-                attempts=spec.attempt + 1,
-                digest=digest,
+            outcomes.append(_run_suffix(
+                spec, sim, root, reference, observe, classifier,
+                trace_signals, wall_start,
+                seq_base=seq_base, prefix_detections=prefix_detections,
             ))
         except Exception as exc:  # vp-lint: disable=VP007 - degraded to the same terminal record the tolerant per-run path emits; the next iteration restores the snapshot regardless
-            outcomes.append(failure_outcome(
-                spec,
-                failure="error",
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=spec.attempt + 1,
-                label=f"error:{type(exc).__name__}",
-            ))
-        finally:
-            if run_trace is not None:
-                run_trace.disarm()
-            if stressor is not None:
-                # Reap this run's scaffolding before the next restore:
-                # detached processes stay dead through restore (the
-                # capture predates them), and the parent must not
-                # accumulate same-named stressor children.
-                stressor.detach()
+            outcomes.append(error_outcome(spec, exc))
     return outcomes
 
 
@@ -883,16 +882,7 @@ def execute_fork_group_from_registry(
     specs: _t.Sequence[RunSpec],
 ) -> _t.List[RunOutcome]:
     """Worker-side fork-group entry point (picklable by reference)."""
-    spec = specs[0]
-    if spec.platform is None:
-        raise ValueError(
-            f"run {spec.index}: spec carries no platform key — only "
-            f"registry-backed campaigns can execute out of process"
-        )
-    from ..platforms import registry
-
-    bundle = registry.get_platform(spec.platform)
-    classifier = registry.get_classifier(spec.platform)
+    bundle, classifier = _registry_hooks(specs[0])
     return execute_fork_group(
         specs, bundle.factory, bundle.observe, classifier,
         capture_state=bundle.capture_state,
@@ -900,28 +890,46 @@ def execute_fork_group_from_registry(
     )
 
 
-def execute_runspec_tolerant(spec: RunSpec) -> RunOutcome:
-    """Worker-side entry point that never raises back across the pool.
+def execute_batch_tolerant(
+    specs: _t.Sequence[RunSpec],
+    run: _t.Callable[[RunSpec], RunOutcome],
+    run_group: _t.Callable[[_t.Sequence[RunSpec]], _t.List[RunOutcome]],
+) -> _t.List[RunOutcome]:
+    """Run *specs* in order, one record each, never raising.
 
-    Exceptions from the run body (platform bugs, fault-induced process
-    errors) are folded into a terminal :data:`Outcome.TIMEOUT` record
-    worker-side — remote exceptions often do not survive pickling (a
+    The batch routine every executing side shares; callers differ only
+    in the callables: *run* executes one spec (:func:`execute_runspec`
+    on some platform hooks), *run_group* one fork group
+    (:func:`execute_fork_group`).  Specs sharing a platform and fork
+    time run as one snapshot-fork group; a group the platform cannot
+    fork (:class:`ForkUnsupported`) and every other spec take the
+    per-run path.  Records come back in spec order either way.
+
+    A run whose body raises becomes a terminal ``error:<Type>`` record
+    here — remote exceptions often do not survive pickling (a
     :class:`~repro.kernel.ProcessError` holds a live generator), and a
     deterministic raise would fail identically on every retry anyway.
-    Worker *crashes* (``os._exit``, OOM kills) cannot be caught here;
-    the pool executor sees those as ``BrokenProcessPool`` and handles
-    the retry/terminal bookkeeping on the parent side.
+    Deadlines degrade to ``timeout:deadline`` inside the run body.
     """
-    try:
-        return execute_runspec_from_registry(spec)
-    except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; anything that escapes must become a record, never kill the worker
-        return failure_outcome(
-            spec,
-            failure="error",
-            error=f"{type(exc).__name__}: {exc}",
-            attempts=spec.attempt + 1,
-            label=f"error:{type(exc).__name__}",
-        )
+
+    def tolerant(spec: RunSpec) -> RunOutcome:
+        try:
+            return run(spec)
+        except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; anything that escapes must become a record, never kill the worker
+            return error_outcome(spec, exc)
+
+    groups, singles = fork_groups(specs)
+    done: _t.Dict[int, RunOutcome] = {}
+    for _key, members in groups:
+        try:
+            results = run_group(members)
+        except ForkUnsupported:
+            results = [tolerant(spec) for spec in members]
+        for spec, outcome in zip(members, results):
+            done[spec.index] = outcome
+    for spec in singles:
+        done[spec.index] = tolerant(spec)
+    return [done[spec.index] for spec in specs]
 
 
 def execute_chunk_tolerant(
@@ -929,34 +937,20 @@ def execute_chunk_tolerant(
 ) -> _t.List[RunOutcome]:
     """Worker-side entry point for one contiguous chunk of specs.
 
-    Runs each spec through the tolerant per-run path in order, so a
+    :func:`execute_batch_tolerant` over the platform registry, so a
     chunk's records are byte-identical to the same specs dispatched
-    one future each — per-run deadlines, degradation labels, and
-    digests all come from the same code.  One pickled future per
-    *chunk* instead of per *run* is where the dispatch saving comes
-    from (and within a chunk, warm-platform reuse never pays the
-    pool's pickling round-trip between consecutive runs).
+    one future each (a chunk of one) — per-run deadlines, degradation
+    labels, and digests all come from the same code.  One pickled
+    future per *chunk* instead of per *run* is where the dispatch
+    saving comes from (and within a chunk, warm-platform reuse never
+    pays the pool's pickling round-trip between consecutive runs).
 
-    Worker death mid-chunk surfaces pool-side as a failure of the
-    whole chunk's future; the executor then falls back to per-run
-    dispatch for exactly these specs (see
-    ``ParallelExecutor.run_batch``), which re-derives the crash /
-    hang attribution at run granularity.
-
-    Fork-mode specs are grouped *within* the chunk: specs sharing a
-    platform and fork time run as one snapshot-fork group, anything
-    else (and any group the platform cannot fork) takes the per-run
-    path.  Records come back in spec order either way.
+    Worker *crashes* (``os._exit``, OOM kills) cannot be caught here:
+    worker death mid-chunk surfaces pool-side as a failure of the
+    whole chunk's future, and the executor then falls back to per-run
+    dispatch for exactly these specs (see ``ParallelExecutor.run_batch``),
+    which re-derives the crash / hang attribution at run granularity.
     """
-    groups, singles = fork_groups(specs)
-    done: _t.Dict[int, RunOutcome] = {}
-    for _key, members in groups:
-        try:
-            results = execute_fork_group_from_registry(members)
-        except ForkUnsupported:
-            results = [execute_runspec_tolerant(spec) for spec in members]
-        for spec, outcome in zip(members, results):
-            done[spec.index] = outcome
-    for spec in singles:
-        done[spec.index] = execute_runspec_tolerant(spec)
-    return [done[spec.index] for spec in specs]
+    return execute_batch_tolerant(
+        specs, execute_runspec_from_registry, execute_fork_group_from_registry
+    )

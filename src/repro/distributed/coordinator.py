@@ -23,12 +23,14 @@ executing (everything behind the in-flight run in grant order) re-run
 Only the in-flight run — the first unreported index of the lease — is
 charged against the :class:`~repro.core.executors.RetryPolicy` crash
 budget; a poison spec that keeps killing workers becomes a terminal
-``crash:worker`` record after ``max_retries`` redispatches, exactly
-like the process-pool backend.  A lease that exceeds its hard timeout
-while heartbeats still flow is a hung *run* (the worker-side deadline
-could not fire): the in-flight run is recorded terminally as
-``timeout:pool`` — a rerun would hang for the full backstop again —
-and the rest of the lease requeues uncharged.
+``crash:worker`` record after ``max_retries`` redispatches.  A lease
+that exceeds its hard timeout while heartbeats still flow is a hung
+*run* (the worker-side deadline could not fire): the in-flight run is
+recorded terminally as ``timeout:pool`` — a rerun would hang for the
+full backstop again — and the rest of the lease requeues uncharged.
+The charging rule is the process-pool backend's own
+:class:`~repro.core.executors.CrashLedger`; only the attribution of
+the in-flight run is the coordinator's.
 
 Shard journals and the determinism contract
 -------------------------------------------
@@ -48,7 +50,6 @@ one a serial run of the same seed writes (modulo the wall-clock
 from __future__ import annotations
 
 import collections
-import dataclasses
 import os
 import pathlib
 import re
@@ -61,13 +62,13 @@ import typing as _t
 
 from ..core.checkpoint import CampaignCheckpoint
 from ..core.executors import (
-    HARD_TIMEOUT_FACTOR,
-    HARD_TIMEOUT_GRACE,
+    CrashLedger,
     Executor,
     RetryPolicy,
+    chunk_backstop_s,
     default_worker_count,
 )
-from ..core.runspec import RunOutcome, RunSpec, failure_outcome
+from ..core.runspec import RunOutcome, RunSpec
 from . import protocol
 from .discovery import write_endpoint
 
@@ -174,7 +175,7 @@ class Coordinator:
         self._pending: _t.Deque[int] = collections.deque()
         self._specs: _t.Dict[int, RunSpec] = {}
         self._done: _t.Dict[int, RunOutcome] = {}
-        self._crash_counts: _t.Dict[int, int] = {}
+        self._ledger = CrashLedger((), self.retry)
         self._batch_size = 0
         self._lease_seq = 0
         self._closing = False
@@ -219,7 +220,7 @@ class Coordinator:
                 raise RuntimeError("a batch is already in flight")
             self._specs = {spec.index: spec for spec in specs}
             self._done = {}
-            self._crash_counts = {}
+            self._ledger = CrashLedger(specs, self.retry)
             self._batch_size = len(specs)
             self._pending.extend(spec.index for spec in specs)
             self._lock.notify_all()
@@ -229,7 +230,7 @@ class Coordinator:
                 self._lock.wait(timeout=0.5)
             done, self._done = self._done, {}
             self._specs = {}
-            self._crash_counts = {}
+            self._ledger = CrashLedger((), self.retry)
         return [done[spec.index] for spec in sorted(specs, key=lambda s: s.index)]
 
     # -- scheduling ----------------------------------------------------------
@@ -256,18 +257,9 @@ class Coordinator:
     def _lease_deadline(
         self, specs: _t.Sequence[RunSpec]
     ) -> _t.Optional[float]:
-        if self.hard_timeout_s is not None:
-            budget = self.hard_timeout_s * len(specs)
-        else:
-            deadlines = [
-                s.deadline_s for s in specs if s.deadline_s is not None
-            ]
-            if len(deadlines) < len(specs):
-                return None
-            budget = (
-                max(deadlines) * HARD_TIMEOUT_FACTOR * len(specs)
-                + HARD_TIMEOUT_GRACE
-            )
+        budget = chunk_backstop_s(specs, self.hard_timeout_s)
+        if budget is None:
+            return None
         return time.monotonic() + budget  # vp-lint: disable=VP005 - lease backstop bookkeeping, not model behavior
 
     def _grant(self, worker: _Worker) -> _t.Dict[str, _t.Any]:
@@ -291,7 +283,10 @@ class Coordinator:
                 self._pending.popleft()
                 for _ in range(min(count, len(self._pending)))
             ]
-            specs = [self._respec(index) for index in indices]
+            # Uncharged requeues dispatch at their original attempt,
+            # which keeps an innocent casualty's eventual record
+            # byte-identical to a serial run's.
+            specs = [self._ledger.respec(index) for index in indices]
             self._lease_seq += 1
             self.leases_granted += 1
             lease = _Lease(
@@ -302,20 +297,6 @@ class Coordinator:
             )
             worker.lease = lease
             return protocol.lease(lease.lease_id, specs)
-
-    def _respec(self, index: int) -> RunSpec:
-        """The spec to dispatch for *index*, carrying its attempt count.
-
-        ``attempt`` is the number of crash-charged prior executions —
-        zero for first dispatches *and* for uncharged requeues, which
-        is what keeps an innocent casualty's eventual record
-        byte-identical to a serial run's.
-        """
-        spec = self._specs[index]
-        attempt = self._crash_counts.get(index, 0)
-        if spec.attempt != attempt:
-            spec = dataclasses.replace(spec, attempt=attempt)
-        return spec
 
     # -- result / failure accounting ----------------------------------------
 
@@ -360,43 +341,22 @@ class Coordinator:
                 if unreported:
                     in_flight, innocents = unreported[0], unreported[1:]
                     if hung:
-                        # The worker-side deadline never fired; a rerun
-                        # would hang for the full backstop again.
-                        self._done[in_flight] = failure_outcome(
-                            self._specs[in_flight],
-                            failure="timeout",
-                            error=(
-                                f"no result within the lease-level hard "
-                                f"timeout ({reason})"
-                            ),
-                            attempts=self._crash_counts.get(in_flight, 0)
-                            + 1,
-                            label="timeout:pool",
-                        )
-                        self._shard_append(
-                            "coordinator", self._done[in_flight]
+                        # The worker-side deadline never fired.
+                        record = self._ledger.hung(
+                            in_flight,
+                            f"no result within the lease-level hard "
+                            f"timeout ({reason})",
                         )
                     else:
-                        charged = self._crash_counts.get(in_flight, 0) + 1
-                        self._crash_counts[in_flight] = charged
-                        if charged >= self.retry.max_attempts:
-                            self._done[in_flight] = failure_outcome(
-                                self._specs[in_flight],
-                                failure="crash",
-                                error=(
-                                    f"worker died ({reason}); retry "
-                                    f"budget of {self.retry.max_retries} "
-                                    f"exhausted"
-                                ),
-                                attempts=charged,
-                                label="crash:worker",
-                            )
-                            self._shard_append(
-                                "coordinator", self._done[in_flight]
-                            )
-                        else:
-                            self._pending.appendleft(in_flight)
-                            requeued += 1
+                        record = self._ledger.crashed(
+                            in_flight, f"worker died ({reason})"
+                        )
+                    if record is None:
+                        self._pending.appendleft(in_flight)
+                        requeued += 1
+                    else:
+                        self._done[in_flight] = record
+                        self._shard_append("coordinator", record)
                     for index in reversed(innocents):
                         # Provably queued behind the in-flight run on
                         # the worker (leases execute in grant order):

@@ -1,15 +1,15 @@
 """Worker agent of the distributed campaign backend.
 
 ``python -m repro.distributed.worker --connect HOST:PORT`` attaches to
-a coordinator, pulls leases, executes them through the exact tolerant
-routines the process-pool backend ships to its workers
-(:func:`~repro.core.runspec.execute_runspec_tolerant` per run,
-:func:`~repro.core.runspec.execute_chunk_tolerant` when a lease
-carries fork-mode specs), and streams one ``result`` frame back per
-completed run.  Streaming — rather than returning the lease as one
-block — is what gives the coordinator run-granular failure
-attribution: when this process dies mid-lease, every already-streamed
-outcome is safe, and only genuinely unexecuted runs requeue.
+a coordinator, pulls leases, executes them through the same tolerant
+batch routine the process-pool backend ships to its workers
+(:func:`~repro.core.runspec.execute_chunk_tolerant` — one run at a
+time, or the whole lease when it carries fork-mode specs), and
+streams one ``result`` frame back per completed run.  Streaming —
+rather than returning the lease as one block — is what gives the
+coordinator run-granular failure attribution: when this process dies
+mid-lease, every already-streamed outcome is safe, and only genuinely
+unexecuted runs requeue.
 
 Identical execution code on every backend is the point: a worker on
 another host builds its platform from the spec's registry key, keeps
@@ -31,11 +31,7 @@ import threading
 import time
 import typing as _t
 
-from ..core.runspec import (
-    RunSpec,
-    execute_chunk_tolerant,
-    execute_runspec_tolerant,
-)
+from ..core.runspec import RunSpec, execute_chunk_tolerant
 from . import protocol
 from .discovery import parse_endpoint, resolve_endpoint
 
@@ -65,7 +61,7 @@ def _execute_lease(specs: _t.Sequence[RunSpec]) -> _t.Iterator:
         yield from execute_chunk_tolerant(specs)
     else:
         for spec in specs:
-            yield execute_runspec_tolerant(spec)
+            yield from execute_chunk_tolerant([spec])
 
 
 def run_worker(

@@ -12,6 +12,7 @@ generative version lives in
 ``tests/property/test_snapshot_properties.py``.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -356,6 +357,50 @@ class TestForkFallback:
         ])
         assert [_outcome_bytes(o) for o in forked] == [
             _outcome_bytes(o) for o in plain
+        ]
+
+
+class TestForkedMemberDegradation:
+    """A forked member that raises or hits its deadline degrades to the
+    same record the per-run path gives, and its neighbours in the group
+    stay byte-identical to fresh runs."""
+
+    def test_raising_and_timed_out_members_degrade_like_per_run(self):
+        key = "airbag-normal"
+        campaign = _campaign(key)
+        trace = TraceConfig(golden_signals=campaign.golden_signals())
+        specs = _group_specs(key, [SRAM_SEU, SENSOR_STUCK], count=4,
+                             trace=trace)
+        unknown = PlannedInjection(
+            time=T1, target_path="no.such.point", descriptor=SRAM_SEU
+        )
+        specs[1] = _spec(key, 1, [unknown], specs[1].golden, trace=trace)
+        specs[2] = dataclasses.replace(specs[2], deadline_s=1e-6)
+        groups, _singles = fork_groups(specs)
+        assert [len(members) for _key, members in groups] == [4]
+
+        forked = execute_fork_group_from_registry(specs)
+
+        per_run = execute_chunk_tolerant(
+            [dataclasses.replace(specs[1], fork=False)]
+        )[0]
+        assert forked[1].matched_rules == ("error:KeyError",)
+        assert (
+            forked[1].failure, forked[1].error, forked[1].attempts,
+        ) == (per_run.failure, per_run.error, per_run.attempts)
+        assert _outcome_bytes(forked[1]) == _outcome_bytes(per_run)
+
+        per_run = execute_chunk_tolerant(
+            [dataclasses.replace(specs[2], fork=False)]
+        )[0]
+        for outcome in (forked[2], per_run):
+            assert outcome.matched_rules == ("timeout:deadline",)
+            assert outcome.failure == "timeout"
+            assert outcome.digest is not None and outcome.digest.partial
+
+        fresh = _fresh([specs[0], specs[3]], key)
+        assert [_outcome_bytes(o) for o in (forked[0], forked[3])] == [
+            _outcome_bytes(o) for o in fresh
         ]
 
 

@@ -20,7 +20,8 @@ from repro.core.runspec import (
     clear_warm_platforms,
     execute_runspec,
 )
-from repro.core.scenario import FaultSpace
+from repro.core.scenario import ErrorScenario, FaultSpace, PlannedInjection
+from repro.core.stressor import Stressor
 from repro.faults import FaultDescriptor, FaultKind, Persistence, SRAM_SEU
 from repro.kernel import Simulator, simtime
 from repro.platforms import airbag, registry
@@ -256,3 +257,69 @@ class TestWarmRunspecProtocol:
             classifier, reset=bundle.reset,
         )
         assert len(built) == 1  # re-elaborated after the discard
+
+    def test_arm_failure_leaves_the_warm_root_clean(self):
+        """A spec whose stressor cannot arm (unknown injection target)
+        must not leave its stressor behind on the warm platform, and
+        the next warm run must still match a fresh build."""
+        bundle = self._bundle()
+        classifier = bundle.classifier_factory()
+        execute_runspec(
+            self._spec(index=0), bundle.factory, bundle.observe,
+            classifier, reset=bundle.reset,
+        )
+        _sim, root = _WARM_PLATFORMS["airbag-normal"]
+
+        unknown = ErrorScenario(
+            name="unknown_target",
+            injections=[
+                PlannedInjection(
+                    time=simtime.ms(10), target_path="no.such.point",
+                    descriptor=SRAM_SEU,
+                )
+            ],
+        )
+        for index in (1, 2):
+            with pytest.raises(KeyError):
+                execute_runspec(
+                    self._spec(unknown, index=index), bundle.factory,
+                    bundle.observe, classifier, reset=bundle.reset,
+                )
+            assert not [
+                child for child in root.children
+                if isinstance(child, Stressor)
+            ]
+            assert "airbag-normal" not in _WARM_PLATFORMS
+
+        stuck = ErrorScenario(
+            name="stuck",
+            injections=[
+                PlannedInjection(
+                    time=simtime.ms(10),
+                    target_path="caps.sensor_a.frontend",
+                    descriptor=STUCK_HIGH,
+                )
+            ],
+        )
+        fresh = execute_runspec(
+            self._spec(stuck, index=3, reuse_platform=False),
+            bundle.factory, bundle.observe, classifier,
+        )
+        execute_runspec(
+            self._spec(index=4), bundle.factory, bundle.observe,
+            classifier, reset=bundle.reset,
+        )
+        warm = execute_runspec(
+            self._spec(stuck, index=3), bundle.factory, bundle.observe,
+            classifier, reset=bundle.reset,
+        )
+        strip = lambda stats: {  # noqa: E731
+            key: value for key, value in stats.items() if key != "wall_s"
+        }
+        assert (
+            warm.outcome, warm.matched_rules, warm.observation,
+            warm.injections_applied, strip(warm.kernel_stats),
+        ) == (
+            fresh.outcome, fresh.matched_rules, fresh.observation,
+            fresh.injections_applied, strip(fresh.kernel_stats),
+        )
