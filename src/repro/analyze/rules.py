@@ -500,9 +500,9 @@ class UnresettableRegistration(Rule):
         yield self.finding(
             node, ctx,
             "register_platform(...) without reset= — the platform is "
-            "rebuilt for every run; add a warm-reset hook restoring "
-            "module state, or pragma this line with why it must stay "
-            "fresh-build",
+            "rebuilt for every run; add a reset hook that restores a "
+            "capture_state() taken at construction, or pragma this "
+            "line with why it must stay fresh-build",
         )
 
 

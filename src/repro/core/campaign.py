@@ -349,12 +349,23 @@ class Campaign:
         Platforms must be deterministic without faults, so one golden
         run serves the whole campaign.  :meth:`run` computes it
         eagerly before dispatching any batch and embeds it in every
-        :class:`RunSpec`, so parallel workers never race on it.
+        :class:`RunSpec`, so parallel workers never race on it.  The
+        same run also reads :meth:`golden_signals`.
         """
         if self._golden is None:
             sim = Simulator()
             root = self.platform_factory(sim)
             sim.run(until=self.duration)
+            signals = {}
+            if self.platform is not None:
+                from ..platforms import registry
+
+                signals_fn = registry.get_platform(self.platform).trace_signals
+                if signals_fn is not None:
+                    signals = signals_fn(root) or {}
+            self._golden_signals = tuple(
+                (name, signals[name].read()) for name in sorted(signals)
+            )
             self._golden = self.observe(root)
         return self._golden
 
@@ -362,28 +373,10 @@ class Campaign:
         """Fault-free final values of the platform's trace signals.
 
         The reference that per-run signal-deviation events are computed
-        against (cached; one extra golden simulation when the platform
-        bundle nominates ``trace_signals``, empty otherwise).
+        against, read in the :meth:`golden` run (empty unless the
+        platform bundle nominates ``trace_signals``).
         """
-        if self._golden_signals is None:
-            signals_fn = None
-            if self.platform is not None:
-                from ..platforms import registry
-
-                signals_fn = registry.get_platform(
-                    self.platform
-                ).trace_signals
-            if signals_fn is None:
-                self._golden_signals = ()
-            else:
-                sim = Simulator()
-                root = self.platform_factory(sim)
-                sim.run(until=self.duration)
-                signals = signals_fn(root) or {}
-                self._golden_signals = tuple(
-                    (name, signals[name].read())
-                    for name in sorted(signals)
-                )
+        self.golden()
         return self._golden_signals
 
     # -- single run -----------------------------------------------------------

@@ -66,6 +66,7 @@ from ..core.executors import (
     Executor,
     RetryPolicy,
     chunk_backstop_s,
+    default_chunk_size,
     default_worker_count,
 )
 from ..core.runspec import RunOutcome, RunSpec
@@ -245,11 +246,9 @@ class Coordinator:
         can steal — ``ceil(remaining / (2 * active))`` guarantees at
         least two grants per live worker remain available.
         """
-        chunk = self.chunk_size
-        if chunk is None:
-            chunk = max(
-                1, -(-self._batch_size // (self.expected_workers * 4))
-            )
+        chunk = self.chunk_size or default_chunk_size(
+            self._batch_size, self.expected_workers
+        )
         active = max(1, len(self._workers))
         fair = -(-len(self._pending) // (2 * active))
         return max(1, min(chunk, fair))

@@ -43,14 +43,6 @@ class Squib(Module):
         self.tsock = TargetSocket(self, "tsock", self)
         self.fired_event = self.event("fired")
 
-    def warm_reset(self) -> None:
-        """Un-latch the (model of the) pyro charge for platform reuse."""
-        self.armed = False
-        self.fired = False
-        self.fire_time = None
-        self.arm_time = None
-        self.spurious_commands = 0
-
     def capture_state(self) -> tuple:
         """Deep-capture the interlock state (snapshot-fork support)."""
         return (

@@ -81,12 +81,6 @@ class Memory(Module):
             raise ValueError("load outside memory bounds")
         self.data[address : address + len(data)] = data
 
-    def warm_reset(self) -> None:
-        """Zero the array and counters (warm-platform reuse)."""
-        self.data[:] = bytes(self.size)
-        self.reads = 0
-        self.writes = 0
-
     def capture_state(self) -> _t.Tuple[bytes, int, int]:
         """Deep-capture the array image (snapshot-fork support)."""
         return (bytes(self.data), self.reads, self.writes)
@@ -202,19 +196,6 @@ class EccMemory(Module):
             raise ValueError("load outside memory bounds")
         for i, byte in enumerate(data):
             self.codewords[address + i] = ecc.hamming_encode(byte)
-
-    def warm_reset(self) -> None:
-        """Re-encode the power-on image and clear counters (warm reuse).
-
-        The platform-level reset hook replays any elaboration-time
-        ``load()`` on top of this, so injected flips from the previous
-        run cannot leak into the next one.
-        """
-        self.codewords = [ecc.hamming_encode(0)] * self.size
-        self.corrected_errors = 0
-        self.detected_errors = 0
-        self.reads = 0
-        self.writes = 0
 
     def capture_state(self) -> _t.Tuple[_t.List[int], int, int, int, int]:
         """Deep-capture the codeword image (snapshot-fork support)."""

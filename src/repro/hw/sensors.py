@@ -134,13 +134,6 @@ class AdcSensor(Module):
         )
         self.process(self._sample_loop, name="sampler")
 
-    def warm_reset(self) -> None:
-        """Restore power-on state (warm-platform reuse)."""
-        self.fault.clear()
-        self.samples_taken = 0
-        self._cached_physical = None
-        self._cached_code = 0
-
     def capture_state(self) -> _t.Dict[str, _t.Any]:
         """Deep-capture mutable run state (snapshot-fork support)."""
         fault = self.fault

@@ -70,15 +70,6 @@ class Watchdog(Module):
         self.tsock = TargetSocket(self, "tsock", self)
         self.process(self._guard, name="guard")
 
-    def warm_reset(self) -> None:
-        """Restore power-on state (warm-platform reuse)."""
-        self.enabled = False
-        self.last_kick = None
-        self.timeouts = 0
-        self.early_kicks = 0
-        self.bad_key_kicks = 0
-        self.timeout_latched = False
-
     def capture_state(self) -> tuple:
         """Deep-capture the guard state (snapshot-fork support)."""
         return (

@@ -81,14 +81,6 @@ class AirbagEcu(Module):
         self.cycles = 0
         self.process(self._control, name="control")
 
-    def warm_reset(self) -> None:
-        """Restore power-on state (warm-platform reuse)."""
-        self.detected_errors = 0
-        self.plausibility_rejects = 0
-        self.debounce_counter = 0
-        self.deploy_commanded_at = None
-        self.cycles = 0
-
     def _read_threshold(self) -> _t.Optional[int]:
         payload = GenericPayload.read(0, 4)
         self.param_mem.tsock.deliver(payload, 0)
@@ -200,34 +192,15 @@ class AirbagPlatform(Module):
             debounce_samples=debounce_samples,
             dual_channel=dual_channel,
         )
-
-
-    def warm_reset(self) -> None:
-        """Restore elaboration-time module state (warm-platform reuse).
-
-        Called by the registry bundle's ``reset`` hook after
-        :meth:`Simulator.reset` has already restored kernel state
-        (signals, processes, queues).  Replays exactly what
-        ``__init__`` established: zeroed ECC image plus the deploy
-        threshold, disarmed squib and watchdog, cleared counters.
-        """
-        self.sensor_a.warm_reset()
-        self.sensor_b.warm_reset()
-        self.param_mem.warm_reset()
-        if not isinstance(self.param_mem, EccMemory):
-            self.param_mem.corrected_errors = 0
-            self.param_mem.detected_errors = 0
-        self.param_mem.load(0, DEPLOY_THRESHOLD_CODE.to_bytes(4, "little"))
-        self.squib.warm_reset()
-        self.watchdog.warm_reset()
-        self.ecu.warm_reset()
+        #: Power-on module state; the warm ``reset`` hook restores it.
+        self._power_on = self.capture_state()
 
     def capture_state(self) -> dict:
         """Deep-capture every piece of mutable module state.
 
-        The snapshot-fork counterpart of :meth:`warm_reset`: instead of
-        returning to power-on values, record the *mid-run* values so
-        forked runs resume from the shared prefix.  Everything a
+        One list serves both reuse modes: the construction-time capture
+        is the power-on state a warm run restores, a mid-run capture
+        the shared prefix forked runs resume from.  Everything a
         process body or TLM handler mutates must be here — the VP011
         lint rule flags registrations that skip this hook.
         """
@@ -276,8 +249,9 @@ class AirbagPlatform(Module):
 
 
 def warm_reset(root: AirbagPlatform) -> None:
-    """Registry ``reset`` hook for the airbag bundles."""
-    root.warm_reset()
+    """Registry ``reset`` hook for the airbag bundles: restore the
+    capture taken at construction."""
+    root.restore_state(root._power_on)
 
 
 def capture_state(root: AirbagPlatform) -> dict:

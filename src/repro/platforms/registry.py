@@ -28,8 +28,12 @@ An optional fifth callable, ``reset(root)``, opts the platform into
 (memory images, component counters, latched actuators) to its
 elaboration-time value, so that running the next spec on the reused
 platform is bit-for-bit identical to running it on a fresh build.
-Bundles without a ``reset`` hook (``resettable == False``) are rebuilt
-from scratch for every run — correct by construction, just slower.
+The simplest sound hook is a restore: take a ``capture_state`` capture
+at the end of construction and have ``reset`` apply it with
+``restore_state`` (the airbag bundles do), so the field list exists
+once for warm reuse and snapshot-fork alike.  Bundles without a
+``reset`` hook (``resettable == False``) are rebuilt from scratch for
+every run — correct by construction, just slower.
 
 Registration must happen at **module import time** so that worker
 processes — which re-import the registering module under ``spawn``
@@ -57,7 +61,8 @@ class PlatformBundle(_t.NamedTuple):
     #: Optional ``root -> {name: signal}``; ``None`` = nothing watched.
     trace_signals: _t.Optional[_t.Callable] = None
     #: Optional ``root -> None`` restoring module-level state after a
-    #: kernel reset; ``None`` = not warm-reusable.
+    #: kernel reset, typically a ``restore_state`` of a capture taken
+    #: at construction; ``None`` = not warm-reusable.
     reset: _t.Optional[_t.Callable] = None
     #: Optional ``root -> state`` deep-capturing module-level state at a
     #: scheduling boundary; pairs with ``restore_state`` to opt the

@@ -64,6 +64,31 @@ class TestGoldenRun:
         first = airbag_campaign.golden()
         assert airbag_campaign.golden() is first
 
+    def test_traced_campaign_builds_one_golden_platform(self):
+        """The golden observation and the golden trace-signal values
+        come from one fault-free simulation, not one each."""
+        from repro.platforms import airbag
+
+        builds = []
+
+        def factory(sim):
+            builds.append(sim)
+            return airbag.build_normal_operation(sim)
+
+        runs = 3
+        campaign = Campaign(
+            factory, duration=20_000_000, seed=5, platform="airbag-normal"
+        )
+        result = campaign.run(
+            RandomStrategy(make_space(), faults_per_scenario=1),
+            runs=runs, trace=True,
+        )
+        assert campaign.golden_signals()
+        assert all(record.digest is not None for record in result.records)
+        # An explicit factory disables warm reuse: one build per run,
+        # plus the single golden build.
+        assert len(builds) == runs + 1
+
 
 class TestScenarioExecution:
     def test_single_ecc_bit_flip_is_masked(self, airbag_campaign):

@@ -77,6 +77,20 @@ def run_airbag(backend, runs=RUNS, checkpoint=None, telemetry=None,
     )
 
 
+def wait_for_workers(executor, count, timeout_s=60.0):
+    """Spawn the loopback cluster and wait (bounded) until *count*
+    workers have registered, so a fast worker cannot drain the whole
+    batch before a slow one joins."""
+    executor._ensure_cluster()
+    deadline = time.monotonic() + timeout_s
+    while executor.coordinator.workers_joined < count:
+        assert time.monotonic() < deadline, (
+            f"only {executor.coordinator.workers_joined} of {count} "
+            f"workers joined within {timeout_s}s"
+        )
+        time.sleep(0.01)
+
+
 def canonical_records(result):
     rows = []
     for record in result.records:
@@ -136,6 +150,7 @@ class TestDistributedEquivalence:
             "airbag-normal", workers=2, shard_dir=shard_dir
         )
         try:
+            wait_for_workers(executor, 2)
             distributed = run_airbag(executor, checkpoint=str(dist_journal))
         finally:
             executor.close()
@@ -259,6 +274,7 @@ class TestDistributedEquivalence:
             "airbag-normal", workers=2, telemetry=telemetry
         )
         try:
+            wait_for_workers(executor, 2)
             run_airbag(executor, telemetry=telemetry)
         finally:
             executor.close()

@@ -14,6 +14,7 @@ scenario space for any state the reset protocol fails to restore.
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Campaign, TraceConfig
+from repro.core import runspec
 from repro.core.runspec import (
     RunSpec,
     clear_warm_platforms,
@@ -131,9 +132,18 @@ class TestWarmReuseProperty:
         clear_warm_platforms()
         try:
             warm = _execute(sequence, reset=_BUNDLE.reset)
+            # Reset the used platform once more, as the next warm run
+            # would, and keep its module state for the check below.
+            sim, root = runspec._WARM_PLATFORMS["airbag-normal"]
+            sim.reset()
+            _BUNDLE.reset(root)
+            reset_state = root.capture_state()
         finally:
             clear_warm_platforms()
         fresh = _execute(sequence, reset=None)
         assert [_outcome_bytes(o) for o in warm] == [
             _outcome_bytes(o) for o in fresh
         ]
+        # The reset restores every captured field, including any the
+        # next run's outcome would not show.
+        assert reset_state == _BUNDLE.factory(Simulator()).capture_state()
