@@ -500,9 +500,10 @@ class UnresettableRegistration(Rule):
         yield self.finding(
             node, ctx,
             "register_platform(...) without reset= — the platform is "
-            "rebuilt for every run; add a reset hook that restores a "
-            "capture_state() taken at construction, or pragma this "
-            "line with why it must stay fresh-build",
+            "rebuilt for every run; declare each component's STATE and "
+            "add a reset hook that restores a capture_state() taken at "
+            "construction, or pragma this line with why it must stay "
+            "fresh-build",
         )
 
 
@@ -548,9 +549,10 @@ class ForklessWarmRegistration(Rule):
             node, ctx,
             "register_platform(...) declares reset= but no "
             "capture_state=/restore_state= — fork-enabled campaigns "
-            "silently fall back to per-run simulation; add snapshot "
-            "hooks, or pragma this line with why mid-run capture is "
-            "unsupported",
+            "silently fall back to per-run simulation; declare each "
+            "component's STATE and pass capture_state=Module."
+            "capture_state, restore_state=Module.restore_state, or "
+            "pragma this line with why mid-run capture is unsupported",
         )
 
 
@@ -753,6 +755,78 @@ class DirectConcurrencyConstruction(Rule):
                 f"repro.distributed's coordinator/worker protocol, not "
                 f"ad-hoc connections in campaign code",
             )
+
+
+def _declared_state(cls: ast.ClassDef) -> _t.Optional[_t.Set[str]]:
+    """The names a class body's ``STATE = ("a", "b", ...)`` literal
+    declares, or None when the body assigns no literal ``STATE``."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if not any(
+            isinstance(t, ast.Name) and t.id == "STATE" for t in targets
+        ):
+            continue
+        if not isinstance(value, (ast.Tuple, ast.List)) or not all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str)
+            for e in value.elts
+        ):
+            return None
+        return {e.value for e in value.elts}
+    return None
+
+
+@rule
+class UndeclaredModuleState(Rule):
+    """``Module.capture_state``/``restore_state`` copy exactly the
+    fields a class's ``STATE`` tuple names.  A method that assigns a
+    ``self`` attribute the tuple omits leaks that field from one warm
+    or forked run into the next — and the equivalence suites see the
+    leak only when some fault happens to reach the field.  Only plain
+    attribute assignment is visible: mutation through ``.append()`` or
+    a subscript is not, nor are helper objects' own methods."""
+
+    code = "VP014"
+    name = "undeclared-module-state"
+    severity = ERROR
+    summary = (
+        "self.<name> assigned outside __init__ in a class whose STATE "
+        "omits <name>; warm and forked runs would not restore it"
+    )
+
+    def check_node(self, node, ctx):
+        if not isinstance(node, ast.ClassDef):
+            return
+        declared = _declared_state(node)
+        if declared is None:
+            return
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if method.name == "__init__":
+                continue
+            # Every assignment target — plain, augmented, annotated,
+            # unpacked — is an attribute node in Store context.
+            for target in ast.walk(method):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                    and target.attr not in declared
+                ):
+                    yield self.finding(
+                        target, ctx,
+                        f"{node.name}.{method.name} assigns "
+                        f"self.{target.attr}, which {node.name}.STATE "
+                        f"does not declare — capture_state/"
+                        f"restore_state skip it, so it leaks across "
+                        f"warm and forked runs; add it to STATE",
+                    )
 
 
 def rule_table() -> _t.List[_t.Dict[str, str]]:

@@ -477,9 +477,7 @@ class Campaign:
         ``"distributed"`` (a :mod:`repro.distributed` coordinator
         serving ``workers`` auto-spawned loopback worker processes;
         attach remote hosts by building a
-        :class:`~repro.distributed.DistributedExecutor` yourself), any
-        other name in the executor backend registry (see
-        :func:`~repro.core.executors.register_backend`), or a
+        :class:`~repro.distributed.DistributedExecutor` yourself), or a
         pre-built :class:`Executor` instance.  ``batch_size`` sets
         how many runs are planned between feedback points — the
         default is 1 for serial (legacy-identical) and twice the

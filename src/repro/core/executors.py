@@ -522,98 +522,6 @@ class ParallelExecutor(Executor):
                     pass
 
 
-# -- backend registry --------------------------------------------------------
-#
-# Backends plug in by name: a builder takes the full make_executor
-# keyword set and returns a ready executor.  The registry is what lets
-# repro.distributed (and future backends — campaign-as-a-service
-# front-ends, cloud dispatchers) slot in beside serial/parallel
-# without make_executor growing another if/elif arm, and what turns a
-# typo'd backend= into one clear error naming every registered choice.
-
-#: Backend name -> builder(**kwargs) -> Executor.
-_BACKEND_BUILDERS: _t.Dict[str, _t.Callable[..., Executor]] = {}
-
-
-def register_backend(
-    name: str, builder: _t.Callable[..., Executor]
-) -> None:
-    """Register (or replace) a named executor backend.
-
-    *builder* receives every ``make_executor`` keyword argument and
-    returns an :class:`Executor` the campaign will own (and close).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("backend name must be a non-empty string")
-    _BACKEND_BUILDERS[name] = builder
-
-
-def registered_backends() -> _t.Tuple[str, ...]:
-    """The selectable backend names, sorted."""
-    return tuple(sorted(_BACKEND_BUILDERS))
-
-
-def _build_serial(
-    *, factory=None, observe=None, classifier=None, reset=None,
-    capture_state=None, restore_state=None, **_unused,
-) -> Executor:
-    if factory is None or observe is None or classifier is None:
-        raise ValueError("serial backend needs factory/observe/classifier")
-    return SerialExecutor(
-        factory, observe, classifier, reset=reset,
-        capture_state=capture_state, restore_state=restore_state,
-    )
-
-
-def _build_parallel(
-    *, platform=None, workers=None, retry=None, hard_timeout_s=None,
-    chunk_size=None, **_unused,
-) -> Executor:
-    if platform is None:
-        raise ValueError(
-            "parallel backend requires a registry-backed campaign "
-            "(Campaign(platform=<name>, ...)); see "
-            "repro.platforms.register_platform"
-        )
-    return ParallelExecutor(
-        platform,
-        workers=workers,
-        retry=retry,
-        hard_timeout_s=hard_timeout_s,
-        chunk_size=chunk_size,
-    )
-
-
-def _build_distributed(
-    *, platform=None, workers=None, retry=None, hard_timeout_s=None,
-    chunk_size=None, telemetry=None, **_unused,
-) -> Executor:
-    # Lazy import: repro.core stays importable (and fast) without the
-    # socket machinery; the distributed package registers nothing at
-    # interpreter start.
-    from ..distributed.coordinator import DistributedExecutor
-
-    if platform is None:
-        raise ValueError(
-            "distributed backend requires a registry-backed campaign "
-            "(Campaign(platform=<name>, ...)); workers rebuild the "
-            "platform from its registry key on their own host"
-        )
-    return DistributedExecutor(
-        platform,
-        workers=workers,
-        retry=retry,
-        hard_timeout_s=hard_timeout_s,
-        chunk_size=chunk_size,
-        telemetry=telemetry,
-    )
-
-
-register_backend("serial", _build_serial)
-register_backend("parallel", _build_parallel)
-register_backend("distributed", _build_distributed)
-
-
 def make_executor(
     backend: _t.Union[str, Executor],
     *,
@@ -635,10 +543,10 @@ def make_executor(
     Returns ``(executor, owned)``: campaigns close executors they
     created but leave caller-provided instances open for reuse (a
     passed-in instance also keeps its own retry/timeout/chunking
-    configuration).  String selectors resolve through the backend
-    registry (see :func:`register_backend`); an unknown name raises
-    immediately, listing every registered backend — a typo must fail
-    at the call site, not as a confusing downstream error.
+    configuration).  String selectors name ``"serial"``,
+    ``"parallel"`` or ``"distributed"``; any other name raises
+    immediately, listing the three — a typo must fail at the call
+    site, not as a confusing downstream error.
     """
     if isinstance(backend, Executor):
         return backend, False
@@ -647,25 +555,38 @@ def make_executor(
             f"backend must be a name or an Executor instance, "
             f"not {type(backend).__name__}"
         )
-    builder = _BACKEND_BUILDERS.get(backend)
-    if builder is None:
-        names = ", ".join(repr(name) for name in registered_backends())
+    if backend not in ("serial", "parallel", "distributed"):
         raise ValueError(
-            f"unknown backend {backend!r}; registered backends: "
-            f"{names} (or pass an Executor instance)"
+            f"unknown backend {backend!r}; backends: 'serial', "
+            f"'parallel', 'distributed' (or pass an Executor instance)"
         )
-    executor = builder(
-        factory=factory,
-        observe=observe,
-        classifier=classifier,
-        platform=platform,
-        workers=workers,
-        retry=retry,
-        hard_timeout_s=hard_timeout_s,
-        reset=reset,
-        capture_state=capture_state,
-        restore_state=restore_state,
-        chunk_size=chunk_size,
+    if backend == "serial":
+        if factory is None or observe is None or classifier is None:
+            raise ValueError(
+                "serial backend needs factory/observe/classifier"
+            )
+        return SerialExecutor(
+            factory, observe, classifier, reset=reset,
+            capture_state=capture_state, restore_state=restore_state,
+        ), True
+    if platform is None:
+        raise ValueError(
+            f"{backend} backend requires a registry-backed campaign "
+            f"(Campaign(platform=<name>, ...)); workers rebuild the "
+            f"platform from its key (see "
+            f"repro.platforms.register_platform)"
+        )
+    if backend == "parallel":
+        return ParallelExecutor(
+            platform, workers=workers, retry=retry,
+            hard_timeout_s=hard_timeout_s, chunk_size=chunk_size,
+        ), True
+    # Lazy import: repro.core stays importable (and fast) without the
+    # socket machinery.
+    from ..distributed.coordinator import DistributedExecutor
+
+    return DistributedExecutor(
+        platform, workers=workers, retry=retry,
+        hard_timeout_s=hard_timeout_s, chunk_size=chunk_size,
         telemetry=telemetry,
-    )
-    return executor, True
+    ), True

@@ -458,10 +458,14 @@ class Coordinator:
                     if reply["type"] == "shutdown":
                         break
                 elif kind == "result":
-                    self._record(
-                        name,
-                        RunOutcome.from_jsonable(message["outcome"]),
-                    )
+                    try:
+                        outcome = RunOutcome.from_jsonable(message["outcome"])
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise protocol.ProtocolError(
+                            f"malformed result frame: "
+                            f"{type(exc).__name__}: {exc}"
+                        ) from exc
+                    self._record(name, outcome)
                 elif kind == "leave":
                     self._leave(name)
                     name = None

@@ -31,6 +31,7 @@ class Squib(Module):
 
     ARM_KEY = 0xA55A
     FIRE_KEY = 0x5AA5
+    STATE = ("armed", "fired", "fire_time", "arm_time", "spurious_commands")
 
     def __init__(self, name: str, parent: Module, arm_timeout: int = 0):
         super().__init__(name, parent=parent)
@@ -42,18 +43,6 @@ class Squib(Module):
         self.spurious_commands = 0
         self.tsock = TargetSocket(self, "tsock", self)
         self.fired_event = self.event("fired")
-
-    def capture_state(self) -> tuple:
-        """Deep-capture the interlock state (snapshot-fork support)."""
-        return (
-            self.armed, self.fired, self.fire_time, self.arm_time,
-            self.spurious_commands,
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        """Re-seed from a capture (repeatable)."""
-        (self.armed, self.fired, self.fire_time, self.arm_time,
-         self.spurious_commands) = state
 
     def b_transport(self, payload: GenericPayload, delay: int) -> int:
         if payload.address % 4 or len(payload.data) != 4:
@@ -113,6 +102,11 @@ class ServoMotor(Module):
     sustained overcurrent is a detected failure a real driver IC reports.
     """
 
+    STATE = (
+        "command", "position", "external_load", "stall_periods",
+        "overcurrent_fault", "position_log",
+    )
+
     def __init__(
         self,
         name: str,
@@ -135,20 +129,6 @@ class ServoMotor(Module):
         self.position_log: _t.List[_t.Tuple[int, float]] = []
         self.tsock = TargetSocket(self, "tsock", self)
         self.process(self._track, name="servo")
-
-    def capture_state(self) -> tuple:
-        """Deep-capture the servo's run state (snapshot-fork support)."""
-        return (
-            self.command, self.position, self.external_load,
-            self.stall_periods, self.overcurrent_fault,
-            list(self.position_log),
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        """Re-seed from a capture (fresh log copy per restore)."""
-        (self.command, self.position, self.external_load,
-         self.stall_periods, self.overcurrent_fault, log) = state
-        self.position_log = list(log)
 
     def b_transport(self, payload: GenericPayload, delay: int) -> int:
         if payload.address % 4 or len(payload.data) != 4:
@@ -214,15 +194,6 @@ class BrakeActuator(Module):
         self.demand_log: _t.List[_t.Tuple[int, float]] = []
         self.tsock = TargetSocket(self, "tsock", self)
         self.process(self._track, name="hydraulics")
-
-    def capture_state(self) -> tuple:
-        """Deep-capture the actuator's run state (snapshot-fork support)."""
-        return (self.demand, self.pressure, list(self.demand_log))
-
-    def restore_state(self, state: tuple) -> None:
-        """Re-seed from a capture (fresh log copy per restore)."""
-        self.demand, self.pressure, log = state
-        self.demand_log = list(log)
 
     def b_transport(self, payload: GenericPayload, delay: int) -> int:
         if payload.command.value == "write" and payload.address == 0x0:

@@ -42,6 +42,8 @@ class MemoryInjectionPoint:
 class Memory(Module):
     """Byte-addressable RAM with configurable access latency."""
 
+    STATE = ("data", "reads", "writes")
+
     def __init__(
         self,
         name: str,
@@ -80,18 +82,6 @@ class Memory(Module):
         if address < 0 or address + len(data) > self.size:
             raise ValueError("load outside memory bounds")
         self.data[address : address + len(data)] = data
-
-    def capture_state(self) -> _t.Tuple[bytes, int, int]:
-        """Deep-capture the array image (snapshot-fork support)."""
-        return (bytes(self.data), self.reads, self.writes)
-
-    def restore_state(self, state: _t.Tuple[bytes, int, int]) -> None:
-        """Re-seed from a capture.  In place: DMI regions alias
-        ``self.data``, so the bytearray object must survive."""
-        data, reads, writes = state
-        self.data[:] = data
-        self.reads = reads
-        self.writes = writes
 
     def _peek(self, address: int) -> int:
         return self.data[address]
@@ -157,6 +147,9 @@ class EccMemory(Module):
 
     #: See :data:`repro.hw.watchdog.Watchdog.DETECTION_MECHANISMS`.
     DETECTION_MECHANISMS = ("ecc",)
+    STATE = (
+        "codewords", "corrected_errors", "detected_errors", "reads", "writes",
+    )
 
     def __init__(
         self,
@@ -196,27 +189,6 @@ class EccMemory(Module):
             raise ValueError("load outside memory bounds")
         for i, byte in enumerate(data):
             self.codewords[address + i] = ecc.hamming_encode(byte)
-
-    def capture_state(self) -> _t.Tuple[_t.List[int], int, int, int, int]:
-        """Deep-capture the codeword image (snapshot-fork support)."""
-        return (
-            list(self.codewords),
-            self.corrected_errors,
-            self.detected_errors,
-            self.reads,
-            self.writes,
-        )
-
-    def restore_state(
-        self, state: _t.Tuple[_t.List[int], int, int, int, int]
-    ) -> None:
-        """Re-seed from a capture (fresh list per restore)."""
-        codewords, corrected, detected, reads, writes = state
-        self.codewords = list(codewords)
-        self.corrected_errors = corrected
-        self.detected_errors = detected
-        self.reads = reads
-        self.writes = writes
 
     def _peek(self, address: int) -> int:
         return ecc.hamming_decode(self.codewords[address]).data

@@ -43,6 +43,10 @@ class Watchdog(Module):
     #: reachability analyzer (`repro.analyze.reach`) discovers
     #: detectors from this declaration.
     DETECTION_MECHANISMS = ("watchdog",)
+    STATE = (
+        "enabled", "last_kick", "timeouts", "early_kicks", "bad_key_kicks",
+        "timeout_latched",
+    )
 
     def __init__(
         self,
@@ -69,18 +73,6 @@ class Watchdog(Module):
         self.bite_event = self.event("bite")
         self.tsock = TargetSocket(self, "tsock", self)
         self.process(self._guard, name="guard")
-
-    def capture_state(self) -> tuple:
-        """Deep-capture the guard state (snapshot-fork support)."""
-        return (
-            self.enabled, self.last_kick, self.timeouts, self.early_kicks,
-            self.bad_key_kicks, self.timeout_latched,
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        """Re-seed from a capture (repeatable)."""
-        (self.enabled, self.last_kick, self.timeouts, self.early_kicks,
-         self.bad_key_kicks, self.timeout_latched) = state
 
     # -- TLM interface -------------------------------------------------------
 

@@ -16,7 +16,7 @@ import typing as _t
 from .events import Event
 from .process import Process
 from .scheduler import Simulator
-from .signal import Clock, Signal, Wire
+from .signal import _ATOMIC_TYPES, Clock, Signal, Wire, pristine_copy
 
 
 class Module:
@@ -26,6 +26,31 @@ class Module:
     in ``__init__`` (an ``elaborate``-style split is unnecessary in
     Python; construction order gives elaboration order).
     """
+
+    #: Attributes a run mutates, named once; :meth:`capture_state` and
+    #: :meth:`restore_state` read this declaration.  A dotted entry
+    #: (``"fault.offset"``) names a field of a plain helper object the
+    #: module holds and others alias — it is written back into that
+    #: same object.  Entries must be plain instance attributes, not
+    #: properties: immutable values are restored through ``__dict__``.
+    #: The VP014 lint rule flags assignments to undeclared ``self``
+    #: attributes outside ``__init__``.
+    STATE: _t.Tuple[str, ...] = ()
+
+    #: ``STATE`` resolved once per class: ``(owner, names)`` pairs,
+    #: ``owner`` being the helper path's parts (``()`` = the module).
+    _state_plan: _t.Tuple[_t.Tuple[tuple, _t.Tuple[str, ...]], ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        owners: _t.Dict[str, list] = {}
+        for entry in cls.STATE:
+            owner, _, name = entry.rpartition(".")
+            owners.setdefault(owner, []).append(name)
+        cls._state_plan = tuple(
+            (tuple(owner.split(".")) if owner else (), tuple(names))
+            for owner, names in owners.items()
+        )
 
     def __init__(
         self,
@@ -138,7 +163,7 @@ class Module:
         """
         if self.parent is not None:
             self.parent.children.remove(self)
-            self.parent = None
+            self.parent = None  # vp-lint: disable=VP014 - tree structure, not run state
         sim = self.sim
         for module in self.walk():
             for process in module._owned_processes:
@@ -148,6 +173,61 @@ class Module:
             for signal in module._owned_signals:
                 sim._unregister_signal(signal)
             module._owned_signals.clear()
+
+    # -- run state ------------------------------------------------------------
+
+    def _state_owners(self, found: list) -> list:
+        """Append ``(object, names)`` for every :attr:`STATE` owner in
+        this subtree (the module itself, then its dotted helpers)."""
+        for path, names in self._state_plan:
+            target = self
+            for part in path:
+                target = getattr(target, part)
+            found.append((target, names))
+        for child in self.children:
+            child._state_owners(found)
+        return found
+
+    def capture_state(self) -> tuple:
+        """Deep-capture every declared :attr:`STATE` field in this subtree.
+
+        One capture serves both reuse modes: taken at construction it
+        is the power-on state a warm run restores, taken mid-run the
+        shared prefix forked runs resume from.  Values are copied with
+        the kernel's :func:`~repro.kernel.signal.pristine_copy`, and
+        the capture holds no object references, so two builds of one
+        platform capture equal values.
+        """
+        return tuple(
+            _capture_owner(target, names)
+            for target, names in self._state_owners([])
+        )
+
+    def restore_state(self, state: tuple) -> None:
+        """Re-seed every declared field from a :meth:`capture_state`
+        capture of this subtree.
+
+        Repeatable from one capture — the fork executor restores once
+        per forked run, and twice around process re-priming.  Lists
+        and bytearrays are refilled in place (a DMI region aliases a
+        memory's ``data``; list items are shared with the capture, so
+        they must be immutable), dotted fields are written into the
+        existing helper object, and any other mutable value is a fresh
+        copy per restore.
+        """
+        owners = self._state_owners([])
+        if len(owners) != len(state):
+            raise ValueError(
+                f"{self.full_name!r}: capture holds {len(state)} state "
+                f"owners, the subtree has {len(owners)}"
+            )
+        for (target, _names), (plain, mutables) in zip(owners, state):
+            target.__dict__.update(plain)
+            for name, value in mutables:
+                if isinstance(value, (list, bytearray)):
+                    getattr(target, name)[:] = value
+                else:
+                    setattr(target, name, pristine_copy(value))
 
     # -- injection points ---------------------------------------------------
 
@@ -195,3 +275,18 @@ class Module:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.full_name!r})"
+
+
+def _capture_owner(target, names: _t.Tuple[str, ...]) -> tuple:
+    """``(plain, mutables)``: immutable values by name, restored with
+    one ``__dict__.update``, and ``(name, copy)`` pairs of everything
+    else."""
+    plain: dict = {}
+    mutables = []
+    for name in names:
+        value = getattr(target, name)
+        if isinstance(value, _ATOMIC_TYPES):
+            plain[name] = value
+        else:
+            mutables.append((name, pristine_copy(value)))
+    return plain, tuple(mutables)

@@ -15,7 +15,7 @@ from .registry import (
     get_platform,
     register_platform,
 )
-from ..kernel import simtime
+from ..kernel import Module, simtime
 
 #: Deadline used by the registered crash-scenario classifier (G2): the
 #: squib must fire within this margin of the golden deployment time.
@@ -39,8 +39,8 @@ register_platform(
     "no spurious deployment)",
     trace_signals=airbag.trace_signals,
     reset=airbag.warm_reset,
-    capture_state=airbag.capture_state,
-    restore_state=airbag.restore_state,
+    capture_state=Module.capture_state,
+    restore_state=Module.restore_state,
     reach_surface=airbag.reach_surface,
 )
 register_platform(
@@ -52,8 +52,8 @@ register_platform(
     "in time)",
     trace_signals=airbag.trace_signals,
     reset=airbag.warm_reset,
-    capture_state=airbag.capture_state,
-    restore_state=airbag.restore_state,
+    capture_state=Module.capture_state,
+    restore_state=Module.restore_state,
     reach_surface=airbag.reach_surface,
 )
 register_platform(  # vp-lint: disable=VP009 - distributed CAN state is rebuilt fresh; warm reset unproven for it
@@ -69,8 +69,8 @@ register_platform(  # vp-lint: disable=VP009 - servo factory closes over tuned c
     steering.observe,
     steering.steering_classifier,
     description="electric power steering servo, nominal load",
-    capture_state=steering.capture_state,
-    restore_state=steering.restore_state,
+    capture_state=Module.capture_state,
+    restore_state=Module.restore_state,
 )
 register_platform(  # vp-lint: disable=VP009 - deliberately crashes/livelocks; must never be reused warm
     "hostile-dut",

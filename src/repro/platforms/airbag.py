@@ -52,6 +52,11 @@ class AirbagEcu(Module):
     quantify what it contributes to the safety goal.
     """
 
+    STATE = (
+        "detected_errors", "plausibility_rejects", "debounce_counter",
+        "deploy_commanded_at", "cycles",
+    )
+
     def __init__(
         self,
         name: str,
@@ -195,73 +200,11 @@ class AirbagPlatform(Module):
         #: Power-on module state; the warm ``reset`` hook restores it.
         self._power_on = self.capture_state()
 
-    def capture_state(self) -> dict:
-        """Deep-capture every piece of mutable module state.
-
-        One list serves both reuse modes: the construction-time capture
-        is the power-on state a warm run restores, a mid-run capture
-        the shared prefix forked runs resume from.  Everything a
-        process body or TLM handler mutates must be here — the VP011
-        lint rule flags registrations that skip this hook.
-        """
-        ecu = self.ecu
-        state = {
-            "sensor_a": self.sensor_a.capture_state(),
-            "sensor_b": self.sensor_b.capture_state(),
-            "param_mem": self.param_mem.capture_state(),
-            "squib": self.squib.capture_state(),
-            "watchdog": self.watchdog.capture_state(),
-            "ecu": (
-                ecu.detected_errors,
-                ecu.plausibility_rejects,
-                ecu.debounce_counter,
-                ecu.deploy_commanded_at,
-                ecu.cycles,
-            ),
-        }
-        if not isinstance(self.param_mem, EccMemory):
-            state["plain_counters"] = (
-                self.param_mem.corrected_errors,
-                self.param_mem.detected_errors,
-            )
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Re-seed module state from a :meth:`capture_state` capture.
-
-        Safe to apply repeatedly from the same capture (component
-        restores copy, never alias, their mutable images) — the fork
-        executor restores once per forked run, and twice around
-        process re-priming (see ``restore_kernel_state``).
-        """
-        ecu = self.ecu
-        self.sensor_a.restore_state(state["sensor_a"])
-        self.sensor_b.restore_state(state["sensor_b"])
-        self.param_mem.restore_state(state["param_mem"])
-        self.squib.restore_state(state["squib"])
-        self.watchdog.restore_state(state["watchdog"])
-        (ecu.detected_errors, ecu.plausibility_rejects,
-         ecu.debounce_counter, ecu.deploy_commanded_at,
-         ecu.cycles) = state["ecu"]
-        if "plain_counters" in state:
-            (self.param_mem.corrected_errors,
-             self.param_mem.detected_errors) = state["plain_counters"]
-
 
 def warm_reset(root: AirbagPlatform) -> None:
     """Registry ``reset`` hook for the airbag bundles: restore the
     capture taken at construction."""
     root.restore_state(root._power_on)
-
-
-def capture_state(root: AirbagPlatform) -> dict:
-    """Registry ``capture_state`` hook for the airbag bundles."""
-    return root.capture_state()
-
-
-def restore_state(root: AirbagPlatform, state: dict) -> None:
-    """Registry ``restore_state`` hook for the airbag bundles."""
-    root.restore_state(state)
 
 
 def build_normal_operation(sim: Simulator) -> AirbagPlatform:

@@ -28,10 +28,14 @@ An optional fifth callable, ``reset(root)``, opts the platform into
 (memory images, component counters, latched actuators) to its
 elaboration-time value, so that running the next spec on the reused
 platform is bit-for-bit identical to running it on a fresh build.
-The simplest sound hook is a restore: take a ``capture_state`` capture
-at the end of construction and have ``reset`` apply it with
-``restore_state`` (the airbag bundles do), so the field list exists
-once for warm reuse and snapshot-fork alike.  Bundles without a
+The simplest sound hook is a restore: declare each component's
+run-mutable fields in its ``STATE`` tuple, take a
+:meth:`Module.capture_state <repro.kernel.module.Module.capture_state>`
+at the end of construction, and have ``reset`` apply it with
+``Module.restore_state`` (the airbag bundles do).  Register
+``capture_state=Module.capture_state`` and
+``restore_state=Module.restore_state`` for snapshot-fork, so the
+field list exists once for both.  Bundles without a
 ``reset`` hook (``resettable == False``) are rebuilt from scratch for
 every run — correct by construction, just slower.
 

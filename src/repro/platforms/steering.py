@@ -44,6 +44,12 @@ def parking_maneuver(duration: int) -> _t.Callable[[int], float]:
 class SteeringController(Module):
     """Closed-loop position controller with plausibility checking."""
 
+    STATE = (
+        "detected_errors", "degraded_cycles", "tracking_error_sum", "cycles",
+        "rate_checker.previous", "rate_checker.checks",
+        "rate_checker.violations",
+    )
+
     def __init__(
         self,
         name: str,
@@ -126,38 +132,6 @@ class SteeringPlatform(Module):
             servo=self.servo,
         )
 
-    def capture_state(self) -> dict:
-        """Deep-capture mutable module state (snapshot-fork support)."""
-        controller = self.controller
-        checker = controller.rate_checker
-        return {
-            "servo": self.servo.capture_state(),
-            "position_sensor": self.position_sensor.capture_state(),
-            "controller": (
-                controller.detected_errors,
-                controller.degraded_cycles,
-                controller.tracking_error_sum,
-                controller.cycles,
-            ),
-            "rate_checker": (
-                checker.previous, checker.checks, checker.violations,
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-seed from a :meth:`capture_state` capture (repeatable)."""
-        controller = self.controller
-        checker = controller.rate_checker
-        self.servo.restore_state(state["servo"])
-        self.position_sensor.restore_state(state["position_sensor"])
-        (controller.detected_errors, controller.degraded_cycles,
-         controller.tracking_error_sum, controller.cycles) = (
-            state["controller"]
-        )
-        (checker.previous, checker.checks, checker.violations) = (
-            state["rate_checker"]
-        )
-
 
 DEFAULT_DURATION = simtime.ms(400)
 
@@ -181,16 +155,6 @@ def build_steering(
         )
 
     return factory
-
-
-def capture_state(root: SteeringPlatform) -> dict:
-    """Registry ``capture_state`` hook for the steering bundle."""
-    return root.capture_state()
-
-
-def restore_state(root: SteeringPlatform, state: dict) -> None:
-    """Registry ``restore_state`` hook for the steering bundle."""
-    root.restore_state(state)
 
 
 def observe(root: Module) -> dict:

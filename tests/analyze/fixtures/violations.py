@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro.core.runspec import RunSpec
-from repro.kernel import Signal
+from repro.kernel import Module, Signal
 from repro.platforms.registry import register_platform
 
 #: Module-level mutable container: VP003 bait when used as an initial.
@@ -97,3 +97,14 @@ def numpy_global_draws():
     noise = np.random.normal(0.0, 1.0)  # VP012 (global numpy RNG)
     generator = np.random.default_rng()  # VP012 (seedless Generator)
     return noise, generator
+
+
+def build_leaky_component():
+    class Counter(Module):
+        STATE = ("count",)
+
+        def tick(self):
+            self.count += 1
+            self.last_tick = self.sim.now  # VP014 (not in STATE)
+
+    return Counter

@@ -255,6 +255,48 @@ def test_vp013_execution_layers_are_exempt():
     ) == ["VP013", "VP013", "VP013"]
 
 
+def test_vp014_undeclared_module_state():
+    findings = lint_snippet(
+        """
+        class Counter(Module):
+            STATE = ("count",)
+
+            def __init__(self):
+                self.count = 0
+                self.period = 10  # construction-time: not run state
+
+            def tick(self):
+                self.count += 1
+                self.last: int = self.sim.now
+                self.total = self.count
+                self.low, (self.high, *self.rest) = 0, (1, 2)
+                self.log.append(self.count)  # not visible to the rule
+                self.image[0] = 1  # not visible to the rule
+        """
+    )
+    assert codes(findings) == ["VP014"] * 5
+    assert findings[0].severity == ERROR
+    assert sorted(f.message.split("assigns self.")[1].split(",")[0]
+                  for f in findings) == ["high", "last", "low", "rest",
+                                         "total"]
+    # Declared fields are fine; classes without a STATE literal are
+    # not checked at all.
+    assert lint_snippet(
+        """
+        class Counter(Module):
+            STATE = ("count", "last")
+
+            def tick(self):
+                self.count += 1
+                self.last = self.sim.now
+
+        class Plain(Module):
+            def tick(self):
+                self.anything = 1
+        """
+    ) == []
+
+
 def test_syntax_error_reports_vp000():
     findings = lint_snippet("def broken(:\n")
     assert codes(findings) == ["VP000"]

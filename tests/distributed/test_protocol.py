@@ -175,3 +175,31 @@ class TestDiscovery:
         monkeypatch.delenv(ENDPOINT_ENV, raising=False)
         with pytest.raises(DiscoveryError, match="no coordinator"):
             resolve_endpoint(None, tmp_path / "absent")
+
+
+class TestMalformedResultFrame:
+    def test_sender_is_declared_lost_at_once(self, monkeypatch):
+        """A result frame whose outcome does not decode is a protocol
+        error: the coordinator drops the worker immediately instead of
+        leaving it registered until the lease timeout."""
+        import threading
+        import time
+
+        from repro.distributed.coordinator import Coordinator
+
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        coordinator = Coordinator(lease_timeout_s=15.0)
+        sock = socket.create_connection((coordinator.host, coordinator.port))
+        try:
+            send_frame(sock, protocol.hello("raw"))
+            assert recv_frame(sock)["type"] == "welcome"
+            send_frame(sock, {"type": "result", "outcome": {"index": 0}})
+            deadline = time.monotonic() + 2.0
+            while coordinator.workers_lost == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert coordinator.workers_lost == 1
+        finally:
+            sock.close()
+            coordinator.close()
+        assert uncaught == []
