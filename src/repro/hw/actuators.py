@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing as _t
 
 from ..kernel import Module
-from ..tlm import GenericPayload, Response, TargetSocket
+from ..tlm import READ, WRITE, GenericPayload, Response, TargetSocket
 
 
 class Squib(Module):
@@ -48,14 +48,14 @@ class Squib(Module):
         if payload.address % 4 or len(payload.data) != 4:
             payload.set_error(Response.BURST_ERROR)
             return delay
-        if payload.command.value == "read":
+        if payload.command is READ:
             if payload.address == 0x8:
                 payload.word = int(self.armed) | (int(self.fired) << 1)
                 payload.set_ok()
             else:
                 payload.set_error(Response.ADDRESS_ERROR)
             return delay + 5
-        if payload.command.value != "write":
+        if payload.command is not WRITE:
             payload.set_ok()
             return delay
         value = payload.word
@@ -134,15 +134,15 @@ class ServoMotor(Module):
         if payload.address % 4 or len(payload.data) != 4:
             payload.set_error(Response.BURST_ERROR)
             return delay
-        if payload.command.value == "write" and payload.address == 0x0:
+        if payload.command is WRITE and payload.address == 0x0:
             # Command in signed millidegrees.
             raw = payload.word
             self.command = float(raw - (1 << 32) if raw & 0x80000000 else raw)
             payload.set_ok()
-        elif payload.command.value == "read" and payload.address == 0x4:
+        elif payload.command is READ and payload.address == 0x4:
             payload.word = int(self.position) & 0xFFFFFFFF
             payload.set_ok()
-        elif payload.command.value == "read" and payload.address == 0x8:
+        elif payload.command is READ and payload.address == 0x8:
             payload.word = int(self.overcurrent_fault)
             payload.set_ok()
         else:
@@ -196,12 +196,12 @@ class BrakeActuator(Module):
         self.process(self._track, name="hydraulics")
 
     def b_transport(self, payload: GenericPayload, delay: int) -> int:
-        if payload.command.value == "write" and payload.address == 0x0:
+        if payload.command is WRITE and payload.address == 0x0:
             demand = payload.word / 100.0  # fixed-point percent
             self.demand = min(max(demand, 0.0), self.max_pressure)
             self.demand_log.append((self.sim.now, self.demand))
             payload.set_ok()
-        elif payload.command.value == "read" and payload.address == 0x4:
+        elif payload.command is READ and payload.address == 0x4:
             payload.word = int(self.pressure * 100)
             payload.set_ok()
         else:

@@ -110,7 +110,13 @@ def _encode_table() -> _t.List[int]:
     return _ENCODE_TABLE
 
 
-def _decode_table() -> _t.List[DecodeResult]:
+def decode_table() -> _t.List[DecodeResult]:
+    """Every codeword's :class:`DecodeResult`, indexed by codeword.
+
+    Hot readers index it directly instead of calling
+    :func:`hamming_decode` per byte; the index must be a 13-bit
+    codeword, which is all an ECC memory can hold.
+    """
     global _DECODE_TABLE
     if _DECODE_TABLE is None:
         _DECODE_TABLE = [
@@ -138,7 +144,7 @@ def hamming_decode(word: int) -> DecodeResult:
     """
     table = _DECODE_TABLE
     if table is None:
-        table = _decode_table()
+        table = decode_table()
     if not 0 <= word < (1 << _TOTAL_BITS):
         raise ValueError(f"codeword out of range: {word:#x}")
     return table[word]

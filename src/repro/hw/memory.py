@@ -17,7 +17,7 @@ import typing as _t
 
 from ..kernel import Module
 from ..observe.hooks import emit_detection
-from ..tlm import DmiRegion, GenericPayload, Response, TargetSocket
+from ..tlm import READ, WRITE, DmiRegion, GenericPayload, Response, TargetSocket
 from . import ecc
 
 
@@ -102,13 +102,13 @@ class Memory(Module):
             payload.set_error(Response.ADDRESS_ERROR)
             return delay
         start = payload.address
-        if payload.command.value == "read":
+        if payload.command is READ:
             payload.data[:] = self.data[start : start + length]
             self.reads += 1
             payload.dmi_allowed = self.dmi_allowed
             payload.set_ok()
             return delay + self.read_latency
-        if payload.command.value == "write":
+        if payload.command is WRITE:
             if payload.byte_enable:
                 for i, byte in enumerate(payload.data):
                     if payload.byte_enable[i % len(payload.byte_enable)]:
@@ -123,7 +123,7 @@ class Memory(Module):
         return delay
 
     def at_latency(self, payload: GenericPayload) -> _t.Tuple[int, int]:
-        if payload.command.value == "write":
+        if payload.command is WRITE:
             return (self.write_latency // 2, self.write_latency - self.write_latency // 2)
         return (self.read_latency // 2, self.read_latency - self.read_latency // 2)
 
@@ -208,12 +208,13 @@ class EccMemory(Module):
             payload.set_error(Response.ADDRESS_ERROR)
             return delay
         start = payload.address
-        if payload.command.value == "read":
+        if payload.command is READ:
             self.reads += 1
-            decode = ecc.hamming_decode
+            table = ecc.decode_table()
             codewords = self.codewords
+            data = payload.data
             for i in range(length):
-                result = decode(codewords[start + i])
+                result = table[codewords[start + i]]
                 if result.uncorrectable:
                     self.detected_errors += 1
                     emit_detection(self, "ecc", "uncorrectable")
@@ -224,10 +225,10 @@ class EccMemory(Module):
                     emit_detection(self, "ecc", "corrected")
                     # Scrub: write the corrected codeword back.
                     self.codewords[start + i] = ecc.hamming_encode(result.data)
-                payload.data[i] = result.data
+                data[i] = result.data
             payload.set_ok()
             return delay + self.read_latency
-        if payload.command.value == "write":
+        if payload.command is WRITE:
             self.writes += 1
             for i, byte in enumerate(payload.data):
                 self.codewords[start + i] = ecc.hamming_encode(byte)
@@ -239,7 +240,7 @@ class EccMemory(Module):
     def at_latency(self, payload: GenericPayload) -> _t.Tuple[int, int]:
         lat = (
             self.write_latency
-            if payload.command.value == "write"
+            if payload.command is WRITE
             else self.read_latency
         )
         return (lat // 2, lat - lat // 2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import typing as _t
 
 from ..kernel import Module
-from ..tlm import GenericPayload, Response, TargetSocket
+from ..tlm import READ, WRITE, GenericPayload, Response, TargetSocket
 
 
 class Field:
@@ -192,10 +192,10 @@ class RegisterFile(Module):
         if register is None:
             payload.set_error(Response.ADDRESS_ERROR)
             return delay
-        if payload.command.value == "read":
+        if payload.command is READ:
             payload.word = register.value
             payload.set_ok()
-        elif payload.command.value == "write":
+        elif payload.command is WRITE:
             if not register.writable:
                 payload.set_error(Response.COMMAND_ERROR)
                 return delay + self.access_latency

@@ -171,10 +171,18 @@ class AdcSensor(Module):
         return self.vmin + code / ((1 << self.bits) - 1) * span
 
     def _sample_loop(self):
+        # Stable lookups live in generator locals.  That is safe because
+        # a restore rebuilds this generator and writes fault state into
+        # the same ``fault`` object rather than replacing it.
+        period = self.period
+        source = self.source
+        sim = self.sim
+        fault = self.fault
+        output = self.output
         while True:
-            yield self.period
-            physical = self.source(self.sim.now)
-            if self.fault.active:
+            yield period
+            physical = source(sim.now)
+            if fault.active:
                 code = self.quantize(self._condition(physical))
                 self._cached_physical = None
             elif physical == self._cached_physical:
@@ -187,7 +195,7 @@ class AdcSensor(Module):
                 code = self.quantize(self._condition(physical))
                 self._cached_physical = physical
                 self._cached_code = code
-            self.output.write(code)
+            output.write(code)
             self.samples_taken += 1
 
 

@@ -19,7 +19,7 @@ import typing as _t
 
 from ..kernel import Module
 from ..observe.hooks import emit_detection
-from ..tlm import GenericPayload, Response, TargetSocket
+from ..tlm import READ, WRITE, GenericPayload, Response, TargetSocket
 
 KICK_KEY = 0xF00D
 
@@ -80,7 +80,7 @@ class Watchdog(Module):
         if payload.address % 4 or len(payload.data) != 4:
             payload.set_error(Response.BURST_ERROR)
             return delay
-        if payload.command.value == "write":
+        if payload.command is WRITE:
             if payload.address == 0x0:
                 self._kick(payload.word)
                 payload.set_ok()
@@ -89,7 +89,7 @@ class Watchdog(Module):
                 payload.set_ok()
             else:
                 payload.set_error(Response.ADDRESS_ERROR)
-        elif payload.command.value == "read":
+        elif payload.command is READ:
             if payload.address == 0x8:
                 payload.word = int(self.enabled) | (
                     int(self.timeout_latched) << 1

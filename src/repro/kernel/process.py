@@ -96,38 +96,28 @@ class Process:
 
     # -- scheduler interface -------------------------------------------
 
-    def _step(self) -> None:
-        """Advance the generator to its next wait condition."""
-        if self.state in (FINISHED, KILLED):
-            return
-        self.state = RUNNABLE
-        try:
-            condition = self.generator.send(self._resume_value)
-        except StopIteration:
-            self._finish()
-            return
-        except BaseException as exc:  # noqa: BLE001 - reported to sim  # vp-lint: disable=VP007 - recorded as ProcessError and re-raised by Simulator.run; nothing is swallowed
-            self.exception = exc
-            self._finish()
-            self.sim._report_process_error(ProcessError(self, exc))
-            return
-        self._resume_value = None
-        try:
-            self._suspend_on(condition)
-        except TypeError as exc:
-            self.exception = exc
-            self._finish()
-            self.sim._report_process_error(ProcessError(self, exc))
-
     def _suspend_on(self, condition: _t.Any) -> None:
+        """Register the wait *condition* the generator just yielded.
+
+        :meth:`Simulator.run` pushes the common ``yield <positive int>``
+        onto the wheel itself; every other condition lands here.  A
+        condition the kernel cannot honour fails the process.
+        """
         self.state = WAITING
+        sim = self.sim
         if condition is None:
             # Yield for one delta cycle.
-            self.sim._schedule_delta_resume(self)
+            sim._delta_resumes.append(self)
         elif isinstance(condition, int):
-            self.sim._schedule_timed_resume(self, condition)
+            if condition < 0:
+                self._fail(ValueError(
+                    f"process {self.name!r} yielded negative delay "
+                    f"{condition}; time cannot move backwards"
+                ))
+            else:
+                sim._schedule_timed_resume(self, condition)
         elif isinstance(condition, Timeout):
-            self.sim._schedule_timed_resume(self, condition.duration)
+            sim._schedule_timed_resume(self, condition.duration)
         elif isinstance(condition, Event):
             self._waiting_on = (condition,)
             condition._add_waiter(self)
@@ -142,15 +132,22 @@ class Process:
                 event._add_waiter(self)
         elif isinstance(condition, Process):
             if condition.state in (FINISHED, KILLED):
-                self.sim._schedule_delta_resume(self)
+                sim._delta_resumes.append(self)
             else:
                 self._waiting_on = (condition.finished,)
                 condition.finished._add_waiter(self)
         else:
-            raise TypeError(
+            self._fail(TypeError(
                 f"process {self.name!r} yielded unsupported wait "
                 f"condition {condition!r}"
-            )
+            ))
+
+    def _fail(self, exc: BaseException) -> None:
+        """Finish the process because *exc* ended it; the simulator
+        stops and re-raises it as a :class:`ProcessError`."""
+        self.exception = exc
+        self._finish()
+        self.sim._report_process_error(ProcessError(self, exc))
 
     def _event_fired(self, event: Event) -> bool:
         """Called by the scheduler when *event* notified.

@@ -34,7 +34,14 @@ _heappop = heapq.heappop
 
 from . import simtime
 from .events import Event
-from .process import FINISHED, KILLED, WAITING, Process, ProcessError
+from .process import (
+    FINISHED,
+    KILLED,
+    RUNNABLE,
+    WAITING,
+    Process,
+    ProcessError,
+)
 from .state import (
     KernelState,
     SnapshotRestoreError,
@@ -110,8 +117,8 @@ class Simulator:
         self._wheel: list = []  # heap of (time, seq, kind, payload)
         #: Zero-delay timed notifications land here instead of the heap:
         #: they are due at the *current* time, and by the time any wheel
-        #: entry for ``now`` could fire, :meth:`_advance_time` has already
-        #: drained the wheel at that timestamp — so FIFO order on this
+        #: entry for ``now`` could fire, :meth:`run` has already drained
+        #: the wheel at that timestamp — so FIFO order on this
         #: deque is exactly the seq order the heap would have produced.
         self._timed_now: deque = deque()
         self._seq = 0
@@ -122,7 +129,6 @@ class Simulator:
         self._signals: list = []  # every SignalBase born on this kernel
         self._stop_requested = False
         self._errors: list = []
-        self._deadline_at: _t.Optional[float] = None
         #: Kernel state captured at end of elaboration so :meth:`reset`
         #: can restore it; see :meth:`snapshot_elaboration`.
         self._elab_snapshot: _t.Optional[KernelState] = None
@@ -203,9 +209,6 @@ class Simulator:
             self._wheel, (self.now + delay, self._seq, "event", event)
         )
 
-    def _schedule_delta_resume(self, process: Process) -> None:
-        self._delta_resumes.append(process)
-
     def _schedule_timed_resume(self, process: Process, delay: int) -> None:
         if delay == 0:
             self._timed_now.append(("process", process))
@@ -283,6 +286,14 @@ class Simulator:
 
         Raises :class:`~repro.kernel.process.ProcessError` if any process
         body raised.
+
+        One loop runs every phase (see the module docstring): the
+        evaluation phase steps each process inline, pushing the common
+        ``yield <positive int>`` straight onto the wheel and handing
+        every other wait condition to :meth:`Process._suspend_on`.  The
+        runnable queue and the wheel are bound to locals for the
+        duration of the call — snapshot and restore are boundary
+        operations and never swap them mid-run.
         """
         if self._elab_snapshot is None:
             # Anything scheduled before the first run() is elaboration
@@ -292,27 +303,138 @@ class Simulator:
             # before any per-run scaffolding is armed.
             self.snapshot_elaboration()
         horizon = simtime.TIME_MAX if until is None else until
-        self._deadline_at = (
+        deadline_at = (
             None if deadline_s is None
             else time.perf_counter() + deadline_s  # vp-lint: disable=VP005 - the deadline budget is wall-clock by definition
         )
-        self._deadline_s = deadline_s
+        runnable = self._runnable
+        wheel = self._wheel
+        sanitizer = self._sanitizer
+        order_rng = self._order_rng
+        delta_hooks = self.delta_hooks
         try:
             while not self._stop_requested:
-                if self._deadline_at is not None:
-                    self._check_deadline()
-                self._delta_cycle()
+                if deadline_at is not None:
+                    self._check_deadline(deadline_at, deadline_s)
+                if order_rng is not None and len(runnable) > 1:
+                    # Order-sensitivity probing: permute the evaluation
+                    # order deterministically per seed.  A sound platform
+                    # produces byte-identical digests under any
+                    # permutation.
+                    shuffled = list(runnable)
+                    order_rng.shuffle(shuffled)
+                    runnable.clear()
+                    runnable.extend(shuffled)
+
+                # Evaluation phase.
+                while runnable:
+                    process = runnable.popleft()
+                    if process.state in (FINISHED, KILLED):
+                        continue
+                    self.processes_stepped += 1
+                    # Immediate-notification ping-pong can livelock
+                    # *inside* one evaluation phase; re-check the
+                    # wall-clock budget without paying a perf_counter
+                    # call on every step.
+                    if (
+                        deadline_at is not None
+                        and not (self.processes_stepped & 0xFF)
+                    ):
+                        self._check_deadline(deadline_at, deadline_s)
+                    if sanitizer is not None:
+                        self._current_process = process
+                    process.state = RUNNABLE
+                    try:
+                        condition = process.generator.send(
+                            process._resume_value
+                        )
+                    except StopIteration:
+                        process._finish()
+                    except BaseException as exc:  # noqa: BLE001 - reported to sim  # vp-lint: disable=VP007 - recorded as ProcessError and re-raised below; nothing is swallowed
+                        process._fail(exc)
+                    else:
+                        process._resume_value = None
+                        if condition.__class__ is int and condition > 0:
+                            process.state = WAITING
+                            self._seq += 1
+                            _heappush(wheel, (
+                                self.now + condition, self._seq,
+                                "process", process,
+                            ))
+                        else:
+                            process._suspend_on(condition)
+                    if self._stop_requested:
+                        break
                 if self._stop_requested:
                     break
-                if self._runnable or self._delta_resumes or self._delta_events:
-                    continue
-                if self._timed_now:
-                    self._fire_timed_now()
-                    continue
-                if not self._advance_time(horizon):
+                if sanitizer is not None:
+                    self._current_process = None
+
+                # Update phase.
+                if self._update_queue:
+                    updates, self._update_queue = self._update_queue, []
+                    for signal in updates:
+                        signal._perform_update()
+
+                # Delta notification phase.
+                if self._delta_events:
+                    events, self._delta_events = self._delta_events, []
+                    for event in events:
+                        event._pending_kind = None
+                        self.events_processed += 1
+                        for process in event._take_waiters():
+                            if process._event_fired(event):
+                                runnable.append(process)
+                if self._delta_resumes:
+                    resumes, self._delta_resumes = self._delta_resumes, []
+                    for process in resumes:
+                        if process.state not in (FINISHED, KILLED):
+                            runnable.append(process)
+                self.delta_count += 1
+                self.delta_cycles_total += 1
+                if sanitizer is not None:
+                    # Close the same-delta conflict window: writes staged
+                    # in different delta cycles are ordinary sequencing.
+                    sanitizer.end_delta()
+                if delta_hooks:
+                    for hook in delta_hooks:
+                        hook(self)
+                if self._stop_requested:
+                    # A signal observer or delta hook asked to stop.
                     break
+                if runnable or self._delta_resumes or self._delta_events:
+                    continue
+
+                # Time advance.  Zero-delay timed notifications are due
+                # now and fire first without touching the heap: time does
+                # not move, and FIFO order on the deque is the seq order
+                # the heap would have produced.  Otherwise every wheel
+                # entry at the earliest timestamp fires, in seq order.
+                if self._timed_now:
+                    fired, self._timed_now = self._timed_now, deque()
+                else:
+                    if not wheel:
+                        break
+                    when = wheel[0][0]
+                    if when > horizon:
+                        self.now = horizon
+                        break
+                    self.now = when
+                    fired = [_heappop(wheel)]
+                    while wheel and wheel[0][0] == when:
+                        fired.append(_heappop(wheel))
+                self.delta_count = 0
+                for entry in fired:
+                    payload = entry[-1]
+                    self.events_processed += 1
+                    if entry[-2] == "event":
+                        payload._pending_kind = None
+                        for process in payload._take_waiters():
+                            if process._event_fired(payload):
+                                runnable.append(process)
+                    elif payload.state not in (FINISHED, KILLED):
+                        runnable.append(payload)
         finally:
-            self._deadline_at = None
             if self._errors:
                 error = self._errors[0]
                 self._errors = []
@@ -325,115 +447,9 @@ class Simulator:
             self.now = until
         return self.now
 
-    def _check_deadline(self) -> None:
-        if time.perf_counter() >= self._deadline_at:  # vp-lint: disable=VP005 - the deadline budget is wall-clock by definition
-            raise DeadlineExceeded(self._deadline_s, self.now)
-
-    def _delta_cycle(self) -> None:
-        sanitizer = self._sanitizer
-        if self._order_rng is not None and len(self._runnable) > 1:
-            # Order-sensitivity probing: permute the evaluation order
-            # deterministically per seed.  A sound platform produces
-            # byte-identical digests under any permutation.
-            shuffled = list(self._runnable)
-            self._order_rng.shuffle(shuffled)
-            self._runnable.clear()
-            self._runnable.extend(shuffled)
-        # Evaluation phase.
-        while self._runnable:
-            process = self._runnable.popleft()
-            if process.state in (FINISHED, KILLED):
-                continue
-            self.processes_stepped += 1
-            # Immediate-notification ping-pong can livelock *inside* one
-            # evaluation phase; re-check the wall-clock budget without
-            # paying a perf_counter call on every step.
-            if (
-                self._deadline_at is not None
-                and not (self.processes_stepped & 0xFF)
-            ):
-                self._check_deadline()
-            if sanitizer is not None:
-                self._current_process = process
-            process._step()
-            if self._stop_requested:
-                return
-        if sanitizer is not None:
-            self._current_process = None
-        # Update phase.
-        if self._update_queue:
-            updates, self._update_queue = self._update_queue, []
-            for signal in updates:
-                signal._perform_update()
-        # Delta notification phase.
-        if self._delta_events:
-            events, self._delta_events = self._delta_events, []
-            for event in events:
-                event._pending_kind = None
-                self.events_processed += 1
-                for process in event._take_waiters():
-                    if process._event_fired(event):
-                        self._runnable.append(process)
-        if self._delta_resumes:
-            resumes, self._delta_resumes = self._delta_resumes, []
-            for process in resumes:
-                if process.state not in (FINISHED, KILLED):
-                    self._runnable.append(process)
-        self.delta_count += 1
-        self.delta_cycles_total += 1
-        if sanitizer is not None:
-            # Close the same-delta conflict window: writes staged in
-            # different delta cycles are ordinary sequencing.
-            sanitizer.end_delta()
-        if self.delta_hooks:
-            for hook in self.delta_hooks:
-                hook(self)
-
-    def _fire_timed_now(self) -> None:
-        """Deliver zero-delay timed notifications without touching the heap.
-
-        Semantically identical to :meth:`_advance_time` landing on the
-        current timestamp: time does not move, the delta counter restarts,
-        and payloads wake in scheduling (FIFO == seq) order.
-        """
-        self.delta_count = 0
-        fired, self._timed_now = self._timed_now, deque()
-        for kind, payload in fired:
-            self.events_processed += 1
-            if kind == "event":
-                payload._pending_kind = None
-                for process in payload._take_waiters():
-                    if process._event_fired(payload):
-                        self._runnable.append(process)
-            else:  # kind == "process"
-                if payload.state not in (FINISHED, KILLED):
-                    self._runnable.append(payload)
-
-    def _advance_time(self, horizon: int) -> bool:
-        """Pop the next timestamp from the wheel.  False when exhausted."""
-        while self._wheel:
-            when, _seq, kind, payload = self._wheel[0]
-            if when > horizon:
-                self.now = horizon
-                return False
-            break
-        if not self._wheel:
-            return False
-        when = self._wheel[0][0]
-        self.now = when
-        self.delta_count = 0
-        while self._wheel and self._wheel[0][0] == when:
-            _when, _seq, kind, payload = _heappop(self._wheel)
-            self.events_processed += 1
-            if kind == "event":
-                payload._pending_kind = None
-                for process in payload._take_waiters():
-                    if process._event_fired(payload):
-                        self._runnable.append(process)
-            else:  # kind == "process"
-                if payload.state not in (FINISHED, KILLED):
-                    self._runnable.append(payload)
-        return True
+    def _check_deadline(self, deadline_at: float, deadline_s: float) -> None:
+        if time.perf_counter() >= deadline_at:  # vp-lint: disable=VP005 - the deadline budget is wall-clock by definition
+            raise DeadlineExceeded(deadline_s, self.now)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (and warm reset on top of it)

@@ -337,7 +337,6 @@ def restore_kernel_state(
     sim.delta_hooks[:] = state.delta_hooks
     sim._stop_requested = False
     sim._errors = []
-    sim._deadline_at = None
     sim._current_process = None
     if sim._sanitizer is not None:
         sim._sanitizer.on_reset()

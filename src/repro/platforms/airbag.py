@@ -86,46 +86,46 @@ class AirbagEcu(Module):
         self.cycles = 0
         self.process(self._control, name="control")
 
-    def _read_threshold(self) -> _t.Optional[int]:
-        payload = GenericPayload.read(0, 4)
-        self.param_mem.tsock.deliver(payload, 0)
-        if not payload.ok:
-            self.detected_errors += 1
-            return None
-        return payload.word
-
-    def _kick_watchdog(self) -> None:
-        self.watchdog.tsock.deliver(
-            GenericPayload.write_word(0x0, KICK_KEY), 0
-        )
-
     def _control(self):
-        self.watchdog.tsock.deliver(GenericPayload.write_word(0x4, 1), 0)
+        # Stable lookups live in generator locals.  That is safe because
+        # a restore rebuilds this generator, and the sockets and signals
+        # bound here keep their identity across restores.
+        kick_socket = self.watchdog.tsock
+        param_socket = self.param_mem.tsock
+        output_a = self.sensor_a.output
+        output_b = self.sensor_b.output
+        dual_channel = self.dual_channel
+        band = self.plausibility_band
+        debounce_samples = self.debounce_samples
+        read = GenericPayload.read
+        write_word = GenericPayload.write_word
+        kick_socket.deliver(write_word(0x4, 1), 0)
         while True:
             yield SAMPLE_PERIOD
             self.cycles += 1
-            self._kick_watchdog()
-            threshold = self._read_threshold()
-            if threshold is None:
-                continue  # detected parameter fault: skip, stay safe
-            code_a = self.sensor_a.output.read()
-            code_b = self.sensor_b.output.read()
-            if (
-                self.dual_channel
-                and abs(code_a - code_b) > self.plausibility_band
-            ):
+            kick_socket.deliver(write_word(0x0, KICK_KEY), 0)
+            payload = read(0, 4)
+            param_socket.deliver(payload, 0)
+            if not payload.ok:
+                # Detected parameter fault: skip, stay safe.
+                self.detected_errors += 1
+                continue
+            threshold = payload.word
+            code_a = output_a.read()
+            code_b = output_b.read()
+            if dual_channel and abs(code_a - code_b) > band:
                 self.plausibility_rejects += 1
                 self.debounce_counter = 0
                 continue
             above = code_a > threshold and (
-                not self.dual_channel or code_b > threshold
+                not dual_channel or code_b > threshold
             )
             if above:
                 self.debounce_counter += 1
             else:
                 self.debounce_counter = 0
             if (
-                self.debounce_counter >= self.debounce_samples
+                self.debounce_counter >= debounce_samples
                 and self.deploy_commanded_at is None
             ):
                 self.deploy_commanded_at = self.sim.now

@@ -42,6 +42,15 @@ class Response(enum.Enum):
         return self not in (Response.OK, Response.INCOMPLETE)
 
 
+#: Members bound once for the transport hot path.  On Python 3.11 every
+#: ``Command.X`` / ``Response.X`` lookup goes through
+#: ``EnumType.__getattr__``, about ten times the cost of a global load.
+#: Targets import ``READ``/``WRITE`` from :mod:`repro.tlm` to compare
+#: ``payload.command`` by identity.
+READ, WRITE = Command.READ, Command.WRITE
+_OK, _INCOMPLETE = Response.OK, Response.INCOMPLETE
+
+
 class GenericPayload:
     """A memory-mapped bus transaction.
 
@@ -75,7 +84,7 @@ class GenericPayload:
         self.data = bytearray() if data is None else data
         self.byte_enable = byte_enable
         self.streaming_width = streaming_width or len(self.data)
-        self.response = Response.INCOMPLETE
+        self.response = _INCOMPLETE
         self.dmi_allowed = False
         self.extensions: dict = {}
         #: Names of injectors that touched this transaction (audit trail).
@@ -86,22 +95,24 @@ class GenericPayload:
     @classmethod
     def read(cls, address: int, length: int) -> "GenericPayload":
         """A read request for *length* bytes at *address*."""
-        return cls(Command.READ, address, bytearray(length))
+        return cls(READ, address, bytearray(length))
 
     @classmethod
     def write(cls, address: int, data: _t.Union[bytes, bytearray]) -> "GenericPayload":
         """A write request carrying *data* to *address*."""
-        return cls(Command.WRITE, address, bytearray(data))
+        return cls(WRITE, address, bytearray(data))
 
     # -- word helpers (little-endian, as the ISS expects) ----------------
 
     @classmethod
     def read_word(cls, address: int, width: int = 4) -> "GenericPayload":
-        return cls.read(address, width)
+        return cls(READ, address, bytearray(width))
 
     @classmethod
     def write_word(cls, address: int, value: int, width: int = 4) -> "GenericPayload":
-        return cls.write(address, value.to_bytes(width, "little"))
+        return cls(
+            WRITE, address, bytearray(value.to_bytes(width, "little"))
+        )
 
     @property
     def word(self) -> int:
@@ -116,10 +127,10 @@ class GenericPayload:
 
     @property
     def ok(self) -> bool:
-        return self.response is Response.OK
+        return self.response is _OK
 
     def set_ok(self) -> None:
-        self.response = Response.OK
+        self.response = _OK
 
     def set_error(self, response: Response = Response.GENERIC_ERROR) -> None:
         if not response.is_error:

@@ -134,4 +134,4 @@ class TestHammingTables:
         ecc.hamming_encode(0)
         ecc.hamming_decode(0)
         assert ecc._ENCODE_TABLE is ecc._encode_table()
-        assert ecc._DECODE_TABLE is ecc._decode_table()
+        assert ecc._DECODE_TABLE is ecc.decode_table()

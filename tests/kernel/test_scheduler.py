@@ -87,6 +87,24 @@ class TestTimedWaits:
         with pytest.raises(ValueError):
             Timeout(-1)
 
+    def test_negative_int_delay_is_a_process_error(self, sim):
+        log = []
+
+        def proc():
+            yield 10
+            log.append(sim.now)
+            yield -5
+            log.append(sim.now)
+
+        sim.spawn(proc(), name="rewinder")
+        with pytest.raises(ProcessError) as excinfo:
+            sim.run()
+        # Time never moves backwards: the bad yield fails the process.
+        assert log == [10]
+        assert sim.now == 10
+        assert isinstance(excinfo.value.original, ValueError)
+        assert "negative delay -5" in str(excinfo.value)
+
     def test_idle_run_until_advances_clock(self, sim):
         assert sim.run(until=500) == 500
 
@@ -376,6 +394,16 @@ class TestProcessLifecycle:
             yield 100
 
         sim.spawn(proc())
+        sim.run()
+        assert sim.now == 5
+
+    def test_stop_from_delta_hook_returns_before_time_advances(self, sim):
+        def proc():
+            yield 5
+            yield 5
+
+        sim.spawn(proc())
+        sim.delta_hooks.append(lambda s: s.stop() if s.now == 5 else None)
         sim.run()
         assert sim.now == 5
 
